@@ -348,7 +348,9 @@ def _bench_multilevel_e2e(
     engine allocation on one side; kernel everything on the other).
     """
     fixture = _fixture(graph, fraction, seed=7)
-    config = MultilevelConfig()
+    # The reference FM engine makes exhaustive passes only, so the kernel
+    # side runs with the adaptive stopping rule off to stay comparable.
+    config = MultilevelConfig(adaptive_stop=False)
     kernel_driver = MultilevelBipartitioner(
         graph, fixture=fixture, config=config
     )

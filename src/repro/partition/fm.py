@@ -17,7 +17,10 @@ contribute to net pin counts, so they anchor the gains of their
 neighbours exactly as propagated terminals do in top-down placement.
 Section III's pass-cutoff heuristic is the ``pass_move_limit_fraction``
 knob: every pass after the first stops once that fraction of the movable
-vertices has moved.
+vertices has moved.  ``adaptive_stop`` is the random-walk stopping rule
+of n-level partitioners (see :data:`ADAPTIVE_STOP_ALPHA`): a pass ends
+once the gains since its last improvement make a further improvement
+improbable.
 
 Kernel layout
 -------------
@@ -52,6 +55,7 @@ moves in the same order, same pass records, same cuts, bit for bit.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -80,6 +84,23 @@ against pathological non-termination.
 _NIL = -2
 """GainBucket link terminator, mirrored here for the inlined hot loop."""
 
+ADAPTIVE_STOP_ALPHA = 50.0
+"""Variance weight ``alpha`` of the adaptive pass-stopping rule.
+
+The rule (Schlag et al., *k-way Hypergraph Partitioning via n-Level
+Recursive Bisection*) models the gains of the moves made since the last
+best-prefix improvement as a random walk with running mean ``mu`` and
+variance ``sigma2`` over ``p`` steps.  While the best prefix is
+balance-feasible, the pass stops once ``p > beta``, ``mu < 0`` and
+``p * mu**2 > alpha * sigma2 + beta`` with ``beta = ln(movable)``: the
+walk drifts downward faster than its noise could plausibly undo.  A
+larger ``alpha`` tolerates noisier walks and stops later.  50 is the
+smallest of {1, 3, 10, 30, 50, 100} that keeps every EXPERIMENTS.md
+shape check passing and the mean cut within +1% of exhaustive passes on
+the full-profile Fig. 1, Fig. 2 and Table III sweeps; see
+docs/performance.md, "Adaptive pass termination", for the evidence.
+"""
+
 
 @dataclass(frozen=True)
 class FMConfig:
@@ -90,12 +111,16 @@ class FMConfig:
     have been made.  ``max_passes < 0`` means "until no improvement".
     ``record_moves`` keeps the full per-pass move sequence on the result
     (used by the differential tests and the kernel benchmark).
+    ``adaptive_stop`` ends a pass early by the random-walk rule of
+    :data:`ADAPTIVE_STOP_ALPHA`; off by default, so flat FM (Tables
+    II/III) makes every move the reference engine makes.
     """
 
     policy: str = "lifo"
     max_passes: int = -1
     pass_move_limit_fraction: float = 1.0
     record_moves: bool = False
+    adaptive_stop: bool = False
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -119,6 +144,8 @@ class PassRecord:
     cut_before: int
     cut_after: int
     feasible_after: bool
+    adaptive_stopped: bool = False
+    """True when the adaptive stopping rule ended the pass."""
 
     @property
     def moved_fraction(self) -> float:
@@ -182,7 +209,9 @@ def _record_fm_run(recorder, span, config: FMConfig, result: FMResult) -> None:
     derived rather than counted in the loop: each pass inserts every
     movable vertex once and each executed move pops one entry.  A pass
     "triggers the cutoff" when its move count reached the Section III
-    limit while movable vertices remained.
+    limit while movable vertices remained and the adaptive rule did not
+    end it first.  ``fm.adaptive_stops`` is emitted only when nonzero, so
+    traces of exhaustive runs keep their shape.
     """
     span.set(
         initial_cut=result.initial_cut,
@@ -193,6 +222,7 @@ def _record_fm_run(recorder, span, config: FMConfig, result: FMResult) -> None:
     recorder.count("fm.passes", result.num_passes)
     recorder.count("fm.moves", result.total_moves)
     fraction = config.pass_move_limit_fraction
+    adaptive_stops = 0
     for record in result.passes:
         recorder.event(
             "fm.pass",
@@ -210,13 +240,17 @@ def _record_fm_run(recorder, span, config: FMConfig, result: FMResult) -> None:
         recorder.count("fm.bucket.pops", record.moves_made)
         recorder.hist("fm.pass.moves", record.moves_made)
         recorder.hist("fm.pass.best_prefix", record.best_prefix)
-        if (
+        if record.adaptive_stopped:
+            adaptive_stops += 1
+        elif (
             record.pass_index > 0
             and fraction < 1.0
             and record.moves_made < record.movable
             and record.moves_made == max(1, int(fraction * record.movable))
         ):
             recorder.count("fm.cutoff_triggers")
+    if adaptive_stops:
+        recorder.count("fm.adaptive_stops", adaptive_stops)
 
 
 class FMBipartitioner:
@@ -675,6 +709,17 @@ class FMBipartitioner:
         bk_state, bk_a, bk_b = self._quality_key(cut, loads)
         l0 = loads[0]
         l1 = loads[1]
+
+        # Adaptive stopping state (see ADAPTIVE_STOP_ALPHA): Welford
+        # running mean/sum of squared deviations of the move gains since
+        # the last best-prefix improvement, over ``walk`` steps.
+        adaptive = self.config.adaptive_stop
+        alpha = ADAPTIVE_STOP_ALPHA
+        beta = math.log(movable_count)
+        walk = 0
+        walk_mean = 0.0
+        walk_m2 = 0.0
+        stopped = False
 
         while nmoves < move_limit:
             # ---- selection (inlined _select_move) -------------------
@@ -1207,6 +1252,23 @@ class FMBipartitioner:
                 bk_b = b
                 best_cut = cut
                 best_prefix = nmoves
+                walk = 0
+                walk_mean = 0.0
+                walk_m2 = 0.0
+            elif adaptive and bk_state == 0:
+                walk += 1
+                delta = gv - walk_mean
+                walk_mean += delta / walk
+                walk_m2 += delta * (gv - walk_mean)
+                if (
+                    walk > beta
+                    and walk_mean < 0.0
+                    and walk * walk_mean * walk_mean
+                    > alpha * (walk_m2 / (walk - 1) if walk > 1 else 0.0)
+                    + beta
+                ):
+                    stopped = True
+                    break
 
         loads[0] = l0
         loads[1] = l1
@@ -1368,6 +1430,7 @@ class FMBipartitioner:
             cut_before=cut_before,
             cut_after=cut,
             feasible_after=self.balance.is_feasible(loads),
+            adaptive_stopped=stopped,
         )
         return record, cut, move_log
 

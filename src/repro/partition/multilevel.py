@@ -32,7 +32,12 @@ from repro.partition.matching import (
     heavy_edge_matching,
     random_matching,
 )
-from repro.partition.solution import FREE, Bipartition, validate_fixture
+from repro.partition.solution import (
+    FREE,
+    Bipartition,
+    block_loads,
+    validate_fixture,
+)
 from repro.runtime.observe import recorder as _observe
 
 MATCHING_SCHEMES = ("heavy", "random")
@@ -48,6 +53,11 @@ class MultilevelConfig:
     stops coarsening once few enough movable vertices remain.
     ``refine_policy`` follows the paper's default of CLIP FM; the flat
     engine's pass-cutoff knob is exposed for the fixed-terminals studies.
+    ``adaptive_stop`` turns on the flat engine's random-walk pass
+    termination (:data:`repro.partition.fm.ADAPTIVE_STOP_ALPHA`) for
+    initial partitioning, refinement at every level and V-cycles; most
+    moves of an exhaustive pass are rolled back anyway.  ``False``
+    reproduces the exhaustive engine bit for bit.
     """
 
     coarsest_size: int = 120
@@ -58,6 +68,7 @@ class MultilevelConfig:
     initial_starts: int = 4
     terminal_seeded_starts: bool = True
     pass_move_limit_fraction: float = 1.0
+    adaptive_stop: bool = True
     vcycles: int = 0
     max_levels: int = 40
 
@@ -141,6 +152,9 @@ class MultilevelBipartitioner:
             )
             recorder.count("multilevel.runs")
             recorder.count("multilevel.levels", result.num_levels)
+            loads = block_loads(self.graph, result.solution.parts, 2)
+            if not self.balance.is_feasible(loads):
+                recorder.count("multilevel.infeasible")
         return result
 
     def _run(self, seed: int = 0) -> MultilevelResult:
@@ -380,6 +394,7 @@ class MultilevelBipartitioner:
             config=FMConfig(
                 policy=cfg.refine_policy,
                 pass_move_limit_fraction=cfg.pass_move_limit_fraction,
+                adaptive_stop=cfg.adaptive_stop,
             ),
         )
         if len(self._engine_pool) >= self._ENGINE_POOL_CAP:
