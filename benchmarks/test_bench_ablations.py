@@ -202,8 +202,8 @@ def test_bench_ablation_wirelength_objective(benchmark):
     """
     from repro.hypergraph import CircuitSpec, generate_circuit
     from repro.partition import (
-        CostFMBipartitioner,
         FMBipartitioner,
+        ReferenceFMBipartitioner,
         random_balanced_bipartition,
         total_cost,
     )
@@ -238,8 +238,8 @@ def test_bench_ablation_wirelength_objective(benchmark):
     )
     fixture = instance.hard_fixture()
 
-    wl_engine = CostFMBipartitioner(
-        instance.graph, instance.balance, model, fixture=fixture
+    wl_engine = ReferenceFMBipartitioner(
+        instance.graph, instance.balance, fixture=fixture, model=model
     )
     mc_engine = FMBipartitioner(
         instance.graph, instance.balance, fixture=fixture
@@ -260,7 +260,7 @@ def test_bench_ablation_wirelength_objective(benchmark):
             mc_costs.append(
                 total_cost(instance.graph, model, mc.parts)
             )
-            polish_costs.append(polish.cost)
+            polish_costs.append(polish.solution.cut)
         return (
             statistics.mean(polish_costs),
             statistics.mean(mc_costs),

@@ -13,8 +13,8 @@ import random
 
 from repro.hypergraph import CircuitSpec, generate_circuit
 from repro.partition import (
-    CostFMBipartitioner,
     FMBipartitioner,
+    ReferenceFMBipartitioner,
     cut_size,
     random_balanced_bipartition,
     total_cost,
@@ -59,8 +59,8 @@ def main() -> None:
     )
 
     fixture = instance.hard_fixture()
-    wl_engine = CostFMBipartitioner(
-        graph, instance.balance, model, fixture=fixture
+    wl_engine = ReferenceFMBipartitioner(
+        graph, instance.balance, fixture=fixture, model=model
     )
     mc_engine = FMBipartitioner(graph, instance.balance, fixture=fixture)
 
@@ -73,13 +73,13 @@ def main() -> None:
             rng=random.Random(100 + s),
         )
         mc = mc_engine.run(list(init)).solution
-        wl = wl_engine.run(list(init))
-        polish = wl_engine.run(list(mc.parts))
+        wl = wl_engine.run(list(init)).solution
+        polish = wl_engine.run(list(mc.parts)).solution
         rows["min-cut FM"].append(total_cost(graph, model, mc.parts))
         cuts["min-cut FM"].append(mc.cut)
-        rows["WL from scratch"].append(wl.cost)
+        rows["WL from scratch"].append(wl.cut)
         cuts["WL from scratch"].append(cut_size(graph, wl.parts))
-        rows["min-cut + WL polish"].append(polish.cost)
+        rows["min-cut + WL polish"].append(polish.cut)
         cuts["min-cut + WL polish"].append(
             cut_size(graph, polish.parts)
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.regimes import (
     FixedVertexSchedule,
@@ -216,40 +216,55 @@ def run_pass_stats_study(
                         else None
                     ),
                 )
-            outcomes = [
-                o for o in outcomes if not isinstance(o, Quarantined)
-            ]
-            passes_per_run: List[int] = []
-            moved: List[float] = []
-            best_prefix: List[float] = []
-            wasted: List[float] = []
-            cuts: List[int] = []
-            for num_passes, cut, records in outcomes:
-                passes_per_run.append(num_passes)
-                cuts.append(cut)
-                for record in records[1:]:
-                    if record.movable == 0:
-                        continue
-                    moved.append(100.0 * record.moved_fraction)
-                    if record.moves_made:
-                        best_prefix.append(
-                            100.0 * record.best_prefix_fraction
-                        )
-                        wasted.append(
-                            100.0 * record.wasted_moves / record.moves_made
-                        )
             study.rows.append(
-                PassStatsRow(
-                    percent=percent,
-                    runs=runs,
-                    avg_passes_per_run=_mean(passes_per_run),
-                    avg_moved_percent=_mean(moved),
-                    avg_best_prefix_percent=_mean(best_prefix),
-                    avg_wasted_percent=_mean(wasted),
-                    avg_final_cut=_mean(cuts),
+                pass_stats_row(
+                    percent,
+                    runs,
+                    [o for o in outcomes if not isinstance(o, Quarantined)],
                 )
             )
     return study
+
+
+def pass_stats_row(
+    percent: float,
+    runs: int,
+    outcomes: Iterable[Tuple[int, int, Sequence[PassRecord]]],
+) -> PassStatsRow:
+    """Aggregate one Table II row from ``(num_passes, final_cut,
+    pass_records)`` run outcomes.
+
+    Per-pass percentages exclude each run's first pass and passes with
+    nothing movable.  The study driver and the trace summarizer
+    (:mod:`repro.runtime.observe.summarize`) both build their rows here,
+    so a table rebuilt from a trace is byte-for-byte the driver's.
+    """
+    passes_per_run: List[int] = []
+    moved: List[float] = []
+    best_prefix: List[float] = []
+    wasted: List[float] = []
+    cuts: List[int] = []
+    for num_passes, cut, records in outcomes:
+        passes_per_run.append(num_passes)
+        cuts.append(cut)
+        for record in records[1:]:
+            if record.movable == 0:
+                continue
+            moved.append(100.0 * record.moved_fraction)
+            if record.moves_made:
+                best_prefix.append(100.0 * record.best_prefix_fraction)
+                wasted.append(
+                    100.0 * record.wasted_moves / record.moves_made
+                )
+    return PassStatsRow(
+        percent=percent,
+        runs=runs,
+        avg_passes_per_run=_mean(passes_per_run),
+        avg_moved_percent=_mean(moved),
+        avg_best_prefix_percent=_mean(best_prefix),
+        avg_wasted_percent=_mean(wasted),
+        avg_final_cut=_mean(cuts),
+    )
 
 
 def _mean(values: Sequence[float]) -> float:

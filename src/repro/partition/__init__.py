@@ -12,14 +12,6 @@ from repro.partition.baselines import (
     greedy_baseline,
     random_baseline,
 )
-from repro.partition.costfm import (
-    CostFMBipartitioner,
-    CostFMConfig,
-    CostFMResult,
-    NetCostModel,
-    min_cut_cost_model,
-    total_cost,
-)
 from repro.partition.fm import (
     FMBipartitioner,
     FMConfig,
@@ -33,6 +25,7 @@ from repro.partition.fm_reference import (
 from repro.partition.gainbucket import GainBucket
 from repro.partition.initial import (
     greedy_bfs_bipartition,
+    multi_resource_initial,
     random_balanced_bipartition,
     random_side_assignment,
     terminal_seeded_bipartition,
@@ -51,25 +44,10 @@ from repro.partition.matching import (
     heavy_edge_matching,
     random_matching,
 )
-from repro.partition.matching_reference import (
-    coarsen as reference_coarsen,
-)
-from repro.partition.matching_reference import (
-    heavy_edge_matching as reference_heavy_edge_matching,
-)
-from repro.partition.matching_reference import (
-    random_matching as reference_random_matching,
-)
 from repro.partition.multilevel import (
     MultilevelBipartitioner,
     MultilevelConfig,
     MultilevelResult,
-)
-from repro.partition.multiresource import (
-    MultiResourceFMBipartitioner,
-    MultiResourceFMConfig,
-    MultiResourceFMResult,
-    multi_resource_initial,
 )
 from repro.partition.multistart import (
     FlatFMStartTask,
@@ -85,6 +63,7 @@ from repro.partition.multistart import (
 from repro.partition.solution import (
     FREE,
     Bipartition,
+    NetCostModel,
     apply_fixture,
     block_loads,
     count_fixed,
@@ -92,10 +71,12 @@ from repro.partition.solution import (
     cut_size,
     free_fixture,
     hamming_distance,
+    min_cut_cost_model,
     movable_vertices,
     pins_per_block,
     respect_fixture,
     symmetric_distance,
+    total_cost,
     validate_fixture,
 )
 
@@ -128,9 +109,6 @@ __all__ = [
     "MultilevelStartTask",
     "Bipartition",
     "CoarseLevel",
-    "CostFMBipartitioner",
-    "CostFMConfig",
-    "CostFMResult",
     "NetCostModel",
     "FMBipartitioner",
     "FMConfig",
@@ -141,9 +119,6 @@ __all__ = [
     "KWayFMResult",
     "KWayResult",
     "MultiBalanceConstraint",
-    "MultiResourceFMBipartitioner",
-    "MultiResourceFMConfig",
-    "MultiResourceFMResult",
     "MultilevelBipartitioner",
     "MultilevelConfig",
     "MultilevelResult",
@@ -180,9 +155,6 @@ __all__ = [
     "random_matching",
     "random_side_assignment",
     "recursive_bisection",
-    "reference_coarsen",
-    "reference_heavy_edge_matching",
-    "reference_random_matching",
     "relative_balance",
     "relative_bipartition_balance",
     "fiedler_vector",

@@ -178,6 +178,16 @@ class MultiBalanceConstraint:
             for c, loads in zip(self.constraints, loads_per_resource)
         )
 
+    def violation(
+        self, loads_per_resource: Sequence[Sequence[float]]
+    ) -> float:
+        """Window violation summed over every resource (0 when
+        feasible)."""
+        return sum(
+            c.violation(loads)
+            for c, loads in zip(self.constraints, loads_per_resource)
+        )
+
     def allows_move(
         self,
         loads_per_resource: Sequence[List[float]],

@@ -12,7 +12,7 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.partition.balance import BalanceConstraint
+from repro.partition.balance import BalanceConstraint, MultiBalanceConstraint
 from repro.partition.solution import FREE, validate_fixture
 
 
@@ -70,6 +70,80 @@ def random_balanced_bipartition(
             side = rng.randrange(2)
         parts[v] = side
         loads[side] += graph.area(v)
+    return parts
+
+
+def multi_resource_initial(
+    graph: Hypergraph,
+    balance: MultiBalanceConstraint,
+    fixture: Optional[Sequence[int]] = None,
+    seed: int = 0,
+) -> List[int]:
+    """Greedy vector bin-filling construction for multi-balanced FM.
+
+    Visits free vertices largest-first (by total normalised weight) and
+    assigns each to the side with the larger remaining vector capacity,
+    measured as the sum of per-resource shortfalls.
+    """
+    if balance.num_parts != 2:
+        raise ValueError("bipartition constructor is strictly 2-way")
+    resources = balance.num_resources
+    if resources > graph.num_resources:
+        raise ValueError(
+            f"balance names {resources} resources but the graph "
+            f"carries {graph.num_resources}"
+        )
+    n = graph.num_vertices
+    if fixture is None:
+        fixture = [FREE] * n
+    validate_fixture(fixture, n, 2)
+    rng = random.Random(seed)
+
+    totals = [
+        sum(graph.resource_vector(r)) or 1.0 for r in range(resources)
+    ]
+    weights = [
+        [graph.resource(v, r) / totals[r] for r in range(resources)]
+        for v in range(n)
+    ]
+    parts = [0] * n
+    loads = [[0.0, 0.0] for _ in range(resources)]
+    free = []
+    for v in range(n):
+        f = fixture[v]
+        if f == FREE:
+            free.append(v)
+        else:
+            parts[v] = f
+            for r in range(resources):
+                loads[r][f] += weights[v][r]
+    rng.shuffle(free)
+    free.sort(key=lambda v: sum(weights[v]), reverse=True)
+
+    centers = [
+        [
+            (c.min_loads[side] + c.max_loads[side]) / 2.0 / total
+            for side in (0, 1)
+        ]
+        for c, total in zip(balance.constraints, totals)
+    ]
+    for v in free:
+        shortfall = [
+            sum(
+                centers[r][side] - loads[r][side]
+                for r in range(resources)
+            )
+            for side in (0, 1)
+        ]
+        if shortfall[0] > shortfall[1]:
+            side = 0
+        elif shortfall[1] > shortfall[0]:
+            side = 1
+        else:
+            side = rng.randrange(2)
+        parts[v] = side
+        for r in range(resources):
+            loads[r][side] += weights[v][r]
     return parts
 
 

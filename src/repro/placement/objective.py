@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import PartitioningInstance
-from repro.partition.costfm import NetCostModel
+from repro.partition.solution import NetCostModel
 from repro.placement.geometry import Cutline, Rect, midline
 
 Point = Tuple[float, float]

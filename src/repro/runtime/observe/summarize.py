@@ -5,11 +5,11 @@ a per-name span rollup (count, total and mean duration), the counters,
 compact histogram digests -- and, when the trace contains pass-stats
 study spans, the paper's Table II *recomputed from the trace alone*.
 
-The reconstruction mirrors :func:`repro.core.pass_stats.
-run_pass_stats_study` operation for operation -- same per-pass ratio
-expressions, same first-pass exclusion, same summation order -- so its
-:meth:`~repro.core.pass_stats.PassStatsStudy.format_table` output is
-byte-for-byte the table the study driver printed.  That only holds for
+The reconstruction turns each ``fm.pass`` event back into a
+:class:`~repro.partition.fm.PassRecord` and aggregates through the study
+driver's own row builder, :func:`repro.core.pass_stats.pass_stats_row`,
+so its :meth:`~repro.core.pass_stats.PassStatsStudy.format_table` output
+is byte-for-byte the table the study driver printed.  That only holds for
 a trace of a *fresh* run: a resumed study satisfies journaled cells
 from the checkpoint without re-executing them, so their spans are
 absent from the trace (the ``pool.journal_hits`` counter says how
@@ -28,8 +28,9 @@ from typing import List, Union
 from repro.core.pass_stats import (
     PassStatsRow,
     PassStatsStudy,
-    _mean,
+    pass_stats_row,
 )
+from repro.partition.fm import PassRecord
 from repro.runtime.observe.trace import Span, Trace, load_trace
 
 STUDY_SPAN = "study.pass_stats"
@@ -43,7 +44,7 @@ def reconstruct_pass_stats(trace: Trace) -> List[PassStatsStudy]:
 
     Walks ``study.pass_stats`` -> ``study.percent`` -> ``fm.run`` spans
     and re-aggregates the per-pass ``fm.pass`` events with the study
-    driver's own arithmetic.  Error-marked ``fm.run`` spans are skipped,
+    driver's own row builder.  Error-marked ``fm.run`` spans are skipped,
     matching the driver's exclusion of quarantined runs.
     """
     studies = []
@@ -61,44 +62,23 @@ def reconstruct_pass_stats(trace: Trace) -> List[PassStatsStudy]:
 
 
 def _reconstruct_row(percent_span: Span) -> PassStatsRow:
-    """One Table II row from one ``study.percent`` span.
-
-    Keep this in lockstep with the aggregation loop in
-    :func:`repro.core.pass_stats.run_pass_stats_study`: identical ratio
-    expressions (float rounding included) and identical append order,
-    or byte-for-byte table equality breaks.
-    """
-    passes_per_run: List[int] = []
-    moved: List[float] = []
-    best_prefix: List[float] = []
-    wasted: List[float] = []
-    cuts: List[int] = []
+    """One Table II row from one ``study.percent`` span."""
+    outcomes = []
     for run_span in percent_span.children:
         if run_span.name != FM_RUN_SPAN or "error" in run_span.attrs:
             continue
         records = [
-            e["fields"] for e in run_span.events if e["name"] == FM_PASS_EVENT
+            PassRecord(**e["fields"])
+            for e in run_span.events
+            if e["name"] == FM_PASS_EVENT
         ]
-        passes_per_run.append(len(records))
-        cuts.append(run_span.attrs["final_cut"])
-        for fields in records[1:]:
-            movable = fields["movable"]
-            if movable == 0:
-                continue
-            moves_made = fields["moves_made"]
-            moved.append(100.0 * (moves_made / movable))
-            if moves_made:
-                prefix = fields["best_prefix"]
-                best_prefix.append(100.0 * (prefix / moves_made))
-                wasted.append(100.0 * (moves_made - prefix) / moves_made)
-    return PassStatsRow(
-        percent=percent_span.attrs["percent"],
-        runs=percent_span.attrs["runs"],
-        avg_passes_per_run=_mean(passes_per_run),
-        avg_moved_percent=_mean(moved),
-        avg_best_prefix_percent=_mean(best_prefix),
-        avg_wasted_percent=_mean(wasted),
-        avg_final_cut=_mean(cuts),
+        outcomes.append(
+            (len(records), run_span.attrs["final_cut"], records)
+        )
+    return pass_stats_row(
+        percent_span.attrs["percent"],
+        percent_span.attrs["runs"],
+        outcomes,
     )
 
 

@@ -19,22 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hypergraph import Hypergraph, contract, reference_contract
+from repro.hypergraph import Hypergraph, contract, contraction_reference
 from repro.partition import (
     FREE,
     coarsen,
     heavy_edge_matching,
+    matching_reference,
     random_matching,
-    reference_coarsen,
-    reference_heavy_edge_matching,
-    reference_random_matching,
 )
 
 FIXED_FRACTIONS = (0.0, 0.2, 0.5)
 
 MATCHERS = {
-    "heavy": (heavy_edge_matching, reference_heavy_edge_matching),
-    "random": (random_matching, reference_random_matching),
+    "heavy": (heavy_edge_matching, matching_reference.heavy_edge_matching),
+    "random": (random_matching, matching_reference.random_matching),
 }
 
 
@@ -160,7 +158,7 @@ def test_contraction_matches_reference(fraction, instance):
         graph, fixture=fixture, rng=random.Random(seed), num_parts=2
     )
     got = coarsen(graph, fixture, labels)
-    want = reference_coarsen(graph, fixture, labels)
+    want = matching_reference.coarsen(graph, fixture, labels)
     assert _graph_fingerprint(got.coarse) == _graph_fingerprint(want.coarse)
     assert got.fixture == want.fixture
     assert (
@@ -208,7 +206,7 @@ def test_hierarchy_matches_reference(scheme, fraction, instance):
         lambda g, fx, r: reference(
             g, fixture=fx, rng=r, max_cluster_area=cap
         ),
-        reference_coarsen,
+        matching_reference.coarsen,
         graph,
     )
     assert len(got) == len(want)
@@ -238,6 +236,6 @@ def test_contraction_random_labels_match_reference(instance):
     remap = {c: i for i, c in enumerate(used)}
     labels = [remap[c] for c in raw]
     got = contract(graph, labels)
-    want = reference_contract(graph, labels)
+    want = contraction_reference.contract(graph, labels)
     assert _graph_fingerprint(got.coarse) == _graph_fingerprint(want.coarse)
     assert got.fine_to_coarse == want.fine_to_coarse

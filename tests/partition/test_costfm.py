@@ -1,16 +1,19 @@
-"""Unit tests for the generalized-cost FM engine and cost models."""
+"""Cost models and the readable 2-way FM under a cost-model objective."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hypergraph import CircuitSpec, Hypergraph, generate_circuit
 from repro.partition import (
     FREE,
-    CostFMBipartitioner,
-    CostFMConfig,
+    BalanceConstraint,
     FMBipartitioner,
+    FMConfig,
     NetCostModel,
+    ReferenceFMBipartitioner,
     cut_size,
     min_cut_cost_model,
     random_balanced_bipartition,
@@ -43,6 +46,14 @@ class TestNetCostModel:
         )
 
 
+def _random_model(graph, rng):
+    return NetCostModel(
+        cost0=[rng.randint(0, 5) for _ in range(graph.num_nets)],
+        cost1=[rng.randint(0, 5) for _ in range(graph.num_nets)],
+        cost_cut=[rng.randint(0, 9) for _ in range(graph.num_nets)],
+    )
+
+
 class TestCostFM:
     def _instance(self, seed=1):
         circ = generate_circuit(CircuitSpec(num_cells=150), seed=seed)
@@ -51,47 +62,49 @@ class TestCostFM:
         return g, balance
 
     def test_min_cut_model_behaves_like_fm(self):
+        # The min-cut model is the plain objective: the readable engine
+        # under it reproduces the kernel FM run exactly.
         g, balance = self._instance(2)
         model = min_cut_cost_model(g)
         init = random_balanced_bipartition(
             g, balance, rng=random.Random(3)
         )
-        generic = CostFMBipartitioner(g, balance, model).run(list(init))
+        generic = ReferenceFMBipartitioner(g, balance, model=model).run(
+            list(init)
+        )
         classic = FMBipartitioner(g, balance).run(list(init))
-        assert generic.cost == cut_size(g, generic.parts)
-        # Same objective, same neighborhood structure: comparable cuts.
-        assert generic.cost <= classic.solution.cut * 1.5 + 5
-        assert classic.solution.cut <= generic.cost * 1.5 + 5
+        assert generic.solution.cut == cut_size(g, generic.solution.parts)
+        assert generic.solution == classic.solution
+        assert generic.passes == classic.passes
 
     def test_reported_cost_exact(self):
         g, balance = self._instance(4)
         rng = random.Random(5)
-        model = NetCostModel(
-            cost0=[rng.randint(0, 5) for _ in range(g.num_nets)],
-            cost1=[rng.randint(0, 5) for _ in range(g.num_nets)],
-            cost_cut=[rng.randint(0, 9) for _ in range(g.num_nets)],
-        )
+        model = _random_model(g, rng)
         init = random_balanced_bipartition(g, balance, rng=rng)
-        result = CostFMBipartitioner(g, balance, model).run(list(init))
-        assert result.cost == total_cost(g, model, result.parts)
-        assert result.cost <= result.initial_cost
+        result = ReferenceFMBipartitioner(g, balance, model=model).run(
+            list(init)
+        )
+        assert result.solution.cut == total_cost(
+            g, model, result.solution.parts
+        )
+        assert result.solution.cut <= result.initial_cut
+        assert result.passes[-1].cut_after == result.solution.cut
 
     def test_asymmetric_costs_bias_sides(self):
         # A single free vertex on a net whose all-on-side-1 state is
         # cheap must end on side 1.
-        from repro.partition import BalanceConstraint
-
         g = Hypergraph([[0, 1]], num_vertices=2, areas=[1.0, 1.0])
         model = NetCostModel(cost0=[10], cost1=[0], cost_cut=[5])
         balance = BalanceConstraint(
             min_loads=[0.0, 0.0], max_loads=[2.0, 2.0]
         )
-        engine = CostFMBipartitioner(
-            g, balance, model, fixture=[FREE, 1]
+        engine = ReferenceFMBipartitioner(
+            g, balance, fixture=[FREE, 1], model=model
         )
         result = engine.run([0, 1])
-        assert result.parts == [1, 1]
-        assert result.cost == 0
+        assert result.solution.parts == [1, 1]
+        assert result.solution.cut == 0
 
     def test_fixture_respected(self):
         g, balance = self._instance(6)
@@ -100,42 +113,131 @@ class TestCostFM:
         pinned = rng.sample(range(g.num_vertices), 25)
         for v in pinned:
             fixture[v] = rng.randrange(2)
-        model = min_cut_cost_model(g)
+        model = _random_model(g, rng)
         init = random_balanced_bipartition(
             g, balance, fixture=fixture, rng=rng
         )
-        result = CostFMBipartitioner(
-            g, balance, model, fixture=fixture
+        result = ReferenceFMBipartitioner(
+            g, balance, fixture=fixture, model=model
         ).run(init)
         for v in pinned:
-            assert result.parts[v] == fixture[v]
+            assert result.solution.parts[v] == fixture[v]
 
     def test_pass_cutoff(self):
         g, balance = self._instance(8)
-        model = min_cut_cost_model(g)
+        model = _random_model(g, random.Random(8))
         init = random_balanced_bipartition(
             g, balance, rng=random.Random(9)
         )
-        full = CostFMBipartitioner(g, balance, model).run(list(init))
-        tight = CostFMBipartitioner(
+        full = ReferenceFMBipartitioner(g, balance, model=model).run(
+            list(init)
+        )
+        tight = ReferenceFMBipartitioner(
             g,
             balance,
-            model,
-            config=CostFMConfig(pass_move_limit_fraction=0.1),
+            config=FMConfig(pass_move_limit_fraction=0.1),
+            model=model,
         ).run(list(init))
         assert tight.total_moves <= full.total_moves
+        limit = max(1, int(0.1 * tight.passes[0].movable))
+        assert all(p.moves_made <= limit for p in tight.passes[1:])
 
     def test_validation(self):
         g, balance = self._instance(10)
         short_model = NetCostModel(cost0=[0], cost1=[0], cost_cut=[1])
         with pytest.raises(ValueError):
-            CostFMBipartitioner(g, balance, short_model)
+            ReferenceFMBipartitioner(g, balance, model=short_model)
         model = min_cut_cost_model(g)
-        engine = CostFMBipartitioner(g, balance, model)
+        engine = ReferenceFMBipartitioner(g, balance, model=model)
         with pytest.raises(ValueError):
             engine.run([0])
         with pytest.raises(ValueError):
-            CostFMConfig(max_passes=0)
+            FMConfig(max_passes=0)
+
+    def test_rejects_adaptive_stop(self):
+        # The readable engine makes exhaustive passes; asking it for the
+        # kernel's adaptive stopping rule must fail loudly.
+        g, balance = self._instance(10)
+        with pytest.raises(ValueError, match="adaptive_stop"):
+            ReferenceFMBipartitioner(
+                g, balance, config=FMConfig(adaptive_stop=True)
+            )
+
+
+@st.composite
+def model_instances(draw):
+    """Small random hypergraphs with a random three-state cost model."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    num_nets = draw(st.integers(min_value=1, max_value=24))
+    nets = [
+        draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=1,
+                max_size=min(5, n),
+                unique=True,
+            )
+        )
+        for _ in range(num_nets)
+    ]
+    costs = st.lists(
+        st.integers(min_value=0, max_value=7),
+        min_size=num_nets,
+        max_size=num_nets,
+    )
+    model = NetCostModel(
+        cost0=draw(costs), cost1=draw(costs), cost_cut=draw(costs)
+    )
+    areas = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n
+        )
+    )
+    if sum(areas) == 0:
+        areas[0] = 1.0
+    graph = Hypergraph(nets, num_vertices=n, areas=areas)
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    return graph, model, seed
+
+
+@pytest.mark.parametrize("policy", ["lifo", "fifo", "clip"])
+@given(instance=model_instances())
+@settings(max_examples=40, deadline=None)
+def test_random_models_report_exact_objective(policy, instance):
+    """Under any three-state model the reported objective equals the
+    objective recomputed from scratch, fixed vertices stay put, and a
+    feasible start never ends worse than it began."""
+    graph, model, seed = instance
+    rng = random.Random(seed)
+    fixture = [
+        rng.randrange(2) if rng.random() < 0.2 else FREE
+        for _ in range(graph.num_vertices)
+    ]
+    balance = relative_bipartition_balance(
+        graph.total_area, rng.choice([0.2, 0.5, 0.9])
+    )
+    parts = [
+        f if f != FREE else rng.randrange(2) for f in fixture
+    ]
+    initial = total_cost(graph, model, parts)
+    result = ReferenceFMBipartitioner(
+        graph,
+        balance,
+        fixture=fixture,
+        config=FMConfig(policy=policy),
+        model=model,
+    ).run(parts)
+    final = result.solution
+    assert result.initial_cut == initial
+    assert final.cut == total_cost(graph, model, final.parts)
+    assert all(
+        f == FREE or p == f for p, f in zip(final.parts, fixture)
+    )
+    loads = [0.0, 0.0]
+    for v, p in enumerate(parts):
+        loads[p] += graph.area(v)
+    if balance.is_feasible(loads):
+        assert final.cut <= initial
 
 
 class TestWirelengthModel:
@@ -221,13 +323,13 @@ class TestWirelengthModel:
         init = random_balanced_bipartition(
             g, inst.balance, fixture=fixture, rng=random.Random(4)
         )
-        wl_engine = CostFMBipartitioner(
-            g, inst.balance, model, fixture=fixture
+        wl_engine = ReferenceFMBipartitioner(
+            g, inst.balance, fixture=fixture, model=model
         )
         wl_result = wl_engine.run(list(init))
         mc_result = FMBipartitioner(
             g, inst.balance, fixture=fixture
         ).run(list(init))
-        assert wl_result.cost <= total_cost(
+        assert wl_result.solution.cut <= total_cost(
             g, model, mc_result.solution.parts
         )

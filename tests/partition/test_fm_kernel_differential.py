@@ -1,11 +1,14 @@
-"""Differential tests: flat-array FM kernels vs. the retained reference.
+"""Differential tests: flat-array FM kernels vs. the readable engines.
 
 The kernel engines (:mod:`repro.partition.fm`, :mod:`repro.partition.kwayfm`)
-promise *bit-identical* behaviour to the reference implementations in
+promise *bit-identical* behaviour to the readable implementations in
 :mod:`repro.partition.fm_reference`: same pre-rollback move sequences,
 same pass records, same final cuts and parts, for every policy and any
-fixture.  These tests drive both sides over random instances and compare
-the full fingerprints.
+fixture.  The readable 2-way engine must agree whether its area window
+is given as a scalar or a one-resource vector balance, and whether its
+objective is the implicit min-cut or the explicit min-cut cost model.
+These tests drive both sides over random instances and compare the full
+fingerprints.
 """
 
 import random
@@ -21,9 +24,11 @@ from repro.partition import (
     FMConfig,
     KWayFMConfig,
     KWayFMRefiner,
+    MultiBalanceConstraint,
     ReferenceFMBipartitioner,
     ReferenceKWayFMRefiner,
     cut_size,
+    min_cut_cost_model,
     relative_balance,
     relative_bipartition_balance,
 )
@@ -113,7 +118,12 @@ def _random_fixture(graph, fraction, num_parts, rng):
 @settings(max_examples=25, deadline=None)
 def test_fm_kernel_matches_reference(policy, fraction, instance):
     """Kernel and reference produce identical move logs, pass records
-    and final cuts for every policy and fixed fraction."""
+    and final cuts for every policy and fixed fraction.
+
+    The reference runs under both forms of each of its two parameters:
+    the area window as a scalar or a one-resource vector balance, and
+    the objective as ``model=None`` or the explicit min-cut model.  All
+    four runs must match the kernel."""
     graph, seed = instance
     rng = random.Random(seed)
     fixture = _random_fixture(graph, fraction, 2, rng)
@@ -127,15 +137,23 @@ def test_fm_kernel_matches_reference(policy, fraction, instance):
     )
     parts = [rng.randint(0, 1) for _ in range(graph.num_vertices)]
 
-    reference = ReferenceFMBipartitioner(
-        graph, balance, fixture=fixture, config=config
-    )
     kernel = FMBipartitioner(
         graph, balance, fixture=fixture, config=config
     )
-    assert _fm_fingerprint(reference.run(list(parts))) == _fm_fingerprint(
-        kernel.run(list(parts))
-    )
+    want = _fm_fingerprint(kernel.run(list(parts)))
+    for reference_balance in (
+        balance,
+        MultiBalanceConstraint(constraints=[balance]),
+    ):
+        for model in (None, min_cut_cost_model(graph)):
+            reference = ReferenceFMBipartitioner(
+                graph,
+                reference_balance,
+                fixture=fixture,
+                config=config,
+                model=model,
+            )
+            assert _fm_fingerprint(reference.run(list(parts))) == want
 
 
 @given(instance=kernel_instances())
