@@ -25,6 +25,7 @@ Not collected by pytest (no ``test_`` prefix); run directly:
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -34,9 +35,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments.circuits import load_instance
+from repro.cli import add_runtime_args, runtime_from_args
 from repro.core.difficulty import run_difficulty_study
-from repro.experiments.reporting import parse_runtime_flags
+from repro.experiments.circuits import load_instance
 from repro.runtime import CheckpointJournal
 
 CIRCUIT = "tiny01"
@@ -96,18 +97,18 @@ def _run_study(jobs, policy=None, journal=None):
 def child_main(argv) -> int:
     """Run the study under ``--resume/--timeout/--max-retries`` flags.
 
-    The orchestrator passes the same flag tokens the experiment CLIs
-    accept; faults arrive via ``REPRO_FAULTS`` in the environment.  The
-    clock-free fingerprint is written next to the journal on success.
+    The flags are parsed by the ``repro`` CLI's own runtime argument
+    group and turned into a policy and journal by the same helper
+    ``repro experiment`` uses; faults arrive via ``REPRO_FAULTS`` in the
+    environment.  The clock-free fingerprint is written next to the
+    journal on success.
     """
-    rest, flags = parse_runtime_flags(argv)
-    if rest:
-        raise SystemExit(f"unexpected child arguments: {rest}")
-    journal = flags.journal(SPEC)
-    study = _run_study(
-        jobs=JOBS, policy=flags.execution_policy(), journal=journal
-    )
-    result_path = Path(flags.resume).with_suffix(".result.json")
+    parser = argparse.ArgumentParser(prog="chaos_smoke.py --child")
+    add_runtime_args(parser)
+    args = parser.parse_args(argv)
+    policy, journal = runtime_from_args(args, SPEC)
+    study = _run_study(jobs=JOBS, policy=policy, journal=journal)
+    result_path = Path(args.resume).with_suffix(".result.json")
     result_path.write_text(json.dumps(_fingerprint(study)) + "\n")
     return 0
 

@@ -14,14 +14,26 @@ All subcommands are deterministic under ``--seed``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from repro.core import bipartition_instance, constraint_profile
+from repro.core import (
+    bipartition_instance,
+    constraint_profile,
+    format_study,
+    format_table_one,
+)
 from repro.core.instance import PartitioningInstance
-from repro.hypergraph import CircuitSpec, compute_stats, generate_circuit
+from repro.experiments.reporting import check, emit
+from repro.hypergraph import (
+    CircuitSpec,
+    HypergraphError,
+    compute_stats,
+    generate_circuit,
+)
 from repro.io import read_bookshelf, write_bookshelf, write_netd
 from repro.partition import (
     FMConfig,
@@ -32,21 +44,111 @@ from repro.partition import (
     relative_balance,
 )
 from repro.placement import build_suite, format_table, place_circuit
-from repro.runtime import jobs_from_env, parse_jobs
-from repro.runtime import observe
+from repro.runtime import (
+    CheckpointError,
+    CheckpointJournal,
+    ExecutionPolicy,
+    RetryPolicy,
+    jobs_from_env,
+    observe,
+    parse_jobs,
+)
 
 ENGINES = ("multilevel", "fm", "kway")
-EXPERIMENTS = (
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "fig1",
-    "fig2",
-    "multiway",
-    "overconstrained",
-    "suite-solutions",
-)
+
+
+class _Experiment(NamedTuple):
+    """One ``repro experiment`` entry; see :data:`_EXPERIMENTS`."""
+
+    module: str  # submodule of repro.experiments, imported on use
+    run: Callable[[Any, str, dict], Any]  # (module, profile, runtime)
+    render: Callable[[Any, Any], str]  # (module, result) -> report
+    result: str  # results/ file name; {profile} is filled in
+    runtime: bool = True  # takes --resume/--timeout/--max-retries
+
+
+def _report(text: str, checks, sep: str = "\n\n") -> str:
+    """``text`` followed by one PASS/FAIL line per shape check."""
+    return text + sep + "\n".join(check(label, ok) for label, ok in checks)
+
+
+def _per_circuit(module, studies) -> str:
+    """Tables II and III: one block per circuit, each with its checks."""
+    return "\n\n".join(
+        _report(study.format_table(), module.shape_checks(study), "\n")
+        for study in studies.values()
+    )
+
+
+def _figure(name: str) -> _Experiment:
+    return _Experiment(
+        "figures",
+        lambda m, profile, rt: m.run_figure(name, profile, **rt),
+        lambda m, study: _report(format_study(study), m.shape_checks(study)),
+        name + "_{profile}",
+    )
+
+
+# Experiment name -> driver call, text rendering and results/ name.  A
+# driver call gets the runtime keywords as a dict (jobs, policy,
+# journal); the entries with runtime=False take no policy or journal.
+_EXPERIMENTS = {
+    "table1": _Experiment(
+        "table1",
+        lambda m, profile, rt: m.run_table1(),
+        lambda m, rows: _report(format_table_one(rows), m.shape_checks(rows)),
+        "table1",
+        runtime=False,
+    ),
+    "table2": _Experiment(
+        "table2",
+        lambda m, profile, rt: m.run_table2(profile, **rt),
+        _per_circuit,
+        "table2_{profile}",
+    ),
+    "table3": _Experiment(
+        "table3",
+        lambda m, profile, rt: m.run_table3(profile, **rt),
+        _per_circuit,
+        "table3_{profile}",
+    ),
+    "table4": _Experiment(
+        "table4",
+        lambda m, profile, rt: m.run_table4(profile),
+        lambda m, suites: _report(
+            format_table(suites), m.shape_checks(suites)
+        ),
+        "table4_{profile}",
+        runtime=False,
+    ),
+    "fig1": _figure("fig1"),
+    "fig2": _figure("fig2"),
+    "multiway": _Experiment(
+        "multiway",
+        lambda m, profile, rt: m.run_multiway(profile, **rt),
+        lambda m, study: _report(study.format_table(), m.shape_checks(study)),
+        "multiway_{profile}",
+    ),
+    "overconstrained": _Experiment(
+        "overconstrained",
+        lambda m, profile, rt: m.run_overconstrained(profile),
+        lambda m, report: _report(
+            report.format_report(), m.shape_checks(report)
+        ),
+        "overconstrained_{profile}",
+        runtime=False,
+    ),
+    "suite-solutions": _Experiment(
+        "suite_solutions",
+        lambda m, profile, rt: m.run_suite_solutions(profile, jobs=rt["jobs"]),
+        lambda m, tables: _report(
+            "\n\n".join(t.format_table() for t in tables),
+            m.shape_checks(tables),
+        ),
+        "suite_solutions_{profile}",
+        runtime=False,
+    ),
+}
 
 
 def _jobs_arg(value: str) -> int:
@@ -80,7 +182,7 @@ def _retries_arg(value: str) -> int:
     return retries
 
 
-def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
+def add_runtime_args(parser: argparse.ArgumentParser) -> None:
     """The fault-tolerance knobs shared by partition and experiment."""
     parser.add_argument(
         "--resume", default=None, metavar="JOURNAL",
@@ -97,6 +199,30 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
         help="crash/timeout retries per item before it is quarantined "
              "as a null row (default 2 when --timeout is set)",
     )
+
+
+def runtime_from_args(args: argparse.Namespace, spec: dict):
+    """``(ExecutionPolicy or None, CheckpointJournal or None)`` from the
+    flags :func:`add_runtime_args` adds.
+
+    Quarantine is on whenever ``--timeout`` or ``--max-retries`` opts
+    into the fault-tolerant path: such a run wants null rows over an
+    aborted sweep.  ``spec`` keys the journal, so it must hold everything
+    that determines the results and nothing else (``jobs`` stays out, so
+    a sweep can resume under another pool size).
+    """
+    policy = None
+    if args.timeout is not None or args.max_retries is not None:
+        retries = 2 if args.max_retries is None else args.max_retries
+        policy = ExecutionPolicy(
+            timeout=args.timeout,
+            retry=RetryPolicy(max_attempts=retries + 1),
+            quarantine=True,
+        )
+    journal = None
+    if args.resume is not None:
+        journal = CheckpointJournal(args.resume, spec)
+    return policy, journal
 
 
 def _add_observe_args(parser: argparse.ArgumentParser) -> None:
@@ -164,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", default=None,
         help="write the block of each vertex to this file",
     )
-    _add_runtime_args(part)
+    add_runtime_args(part)
     _add_observe_args(part)
 
     place = sub.add_parser(
@@ -196,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = sub.add_parser("experiment", help="run a paper experiment")
-    exp.add_argument("which", choices=EXPERIMENTS)
+    exp.add_argument("which", choices=tuple(_EXPERIMENTS))
     exp.add_argument(
         "--profile", choices=("quick", "full"), default="quick"
     )
@@ -206,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(0 = all cores; REPRO_JOBS sets the default; results are "
              "identical to --jobs 1)",
     )
-    _add_runtime_args(exp)
+    add_runtime_args(exp)
     _add_observe_args(exp)
 
     trace = sub.add_parser(
@@ -253,14 +379,8 @@ def _load(args: argparse.Namespace) -> PartitioningInstance:
 
 def _partition_runtime(args: argparse.Namespace):
     """(policy, checkpoint) for the partition command's runtime flags."""
-    from repro.experiments.reporting import RuntimeFlags
-
-    flags = RuntimeFlags(
-        resume=args.resume,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-    )
-    journal = flags.journal(
+    policy, journal = runtime_from_args(
+        args,
         {
             "command": "partition",
             "dir": str(args.dir),
@@ -270,10 +390,10 @@ def _partition_runtime(args: argparse.Namespace):
             "seed": args.seed,
             "parts": args.parts,
             "cutoff": args.cutoff,
-        }
+        },
     )
     checkpoint = journal.batch("starts") if journal is not None else None
-    return flags.execution_policy(), checkpoint
+    return policy, checkpoint
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -465,57 +585,26 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    jobs = str(args.jobs)
-    # The sweep experiments understand the shared runtime flags (see
-    # repro.experiments.reporting.parse_runtime_flags); forward them as
-    # --k=v tokens so positional interfaces stay untouched.
-    runtime = []
-    if args.resume is not None:
-        runtime.append(f"--resume={args.resume}")
-    if args.timeout is not None:
-        runtime.append(f"--timeout={args.timeout}")
-    if args.max_retries is not None:
-        runtime.append(f"--max-retries={args.max_retries}")
-    if runtime and args.which in (
-        "table1", "table4", "overconstrained", "suite-solutions"
-    ):
+    experiment = _EXPERIMENTS[args.which]
+    policy = journal = None
+    if experiment.runtime:
+        spec = {"experiment": args.which, "profile": args.profile, "seed": 0}
+        policy, journal = runtime_from_args(args, spec)
+    elif (args.resume, args.timeout, args.max_retries) != (None, None, None):
         print(
             f"WARNING: {args.which} does not support "
             "--resume/--timeout/--max-retries; ignoring them"
         )
-        runtime = []
-    if args.which == "table1":
-        from repro.experiments.table1 import main as run
-
-        run()
-    elif args.which == "table2":
-        from repro.experiments.table2 import main as run
-
-        run([args.profile, jobs] + runtime)
-    elif args.which == "table3":
-        from repro.experiments.table3 import main as run
-
-        run([args.profile, jobs] + runtime)
-    elif args.which == "table4":
-        from repro.experiments.table4 import main as run
-
-        run([args.profile])
-    elif args.which in ("fig1", "fig2"):
-        from repro.experiments.figures import main as run
-
-        run([args.which, args.profile, jobs] + runtime)
-    elif args.which == "multiway":
-        from repro.experiments.multiway import main as run
-
-        run([args.profile, jobs] + runtime)
-    elif args.which == "suite-solutions":
-        from repro.experiments.suite_solutions import main as run
-
-        run([args.profile, jobs])
-    else:
-        from repro.experiments.overconstrained import main as run
-
-        run([args.profile])
+    module = importlib.import_module(f"repro.experiments.{experiment.module}")
+    result = experiment.run(
+        module,
+        args.profile,
+        {"jobs": args.jobs, "policy": policy, "journal": journal},
+    )
+    emit(
+        experiment.render(module, result),
+        name=experiment.result.format(profile=args.profile),
+    )
     return 0
 
 
@@ -561,9 +650,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _cmd_trace,
     }
     handler = handlers[args.command]
-    if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
-        return _run_observed(handler, args)
-    return handler(args)
+    try:
+        if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
+            return _run_observed(handler, args)
+        return handler(args)
+    except (HypergraphError, CheckpointError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,25 +67,19 @@ class _CutoffRunTask:
         graph: Hypergraph,
         balance: BalanceConstraint,
         fixture: Sequence[int],
-        policy: str,
         cutoff: float,
     ) -> None:
         self.graph = graph
         self.balance = balance
         self.fixture = list(fixture)
-        self.policy = policy
         self.cutoff = cutoff
         self._engine: Optional[FMBipartitioner] = None
 
     def __getstate__(self):
-        return (
-            self.graph, self.balance, self.fixture, self.policy, self.cutoff
-        )
+        return (self.graph, self.balance, self.fixture, self.cutoff)
 
     def __setstate__(self, state):
-        (
-            self.graph, self.balance, self.fixture, self.policy, self.cutoff
-        ) = state
+        self.graph, self.balance, self.fixture, self.cutoff = state
         self._engine = None
 
     def __call__(self, init_seed: int):
@@ -95,7 +89,7 @@ class _CutoffRunTask:
                 self.balance,
                 fixture=self.fixture,
                 config=FMConfig(
-                    policy=self.policy,
+                    policy="lifo",
                     pass_move_limit_fraction=self.cutoff,
                 ),
             )
@@ -160,9 +154,8 @@ def run_cutoff_study(
     seed: int = 0,
     schedule: Optional[FixedVertexSchedule] = None,
     good_solution: Optional[Sequence[int]] = None,
-    policy: str = "lifo",
     jobs: int = 1,
-    exec_policy=None,
+    policy=None,
     journal=None,
 ) -> CutoffStudy:
     """Run Table III's measurement (single-start LIFO FM per run).
@@ -172,11 +165,10 @@ def run_cutoff_study(
     ``jobs > 1`` fans the runs of each column over a process pool; cuts
     and CPU seconds are identical to the serial run.
 
-    ``exec_policy`` (an :class:`repro.runtime.ExecutionPolicy`; named to
-    avoid the FM ``policy`` knob) and ``journal`` (a
-    :class:`repro.runtime.CheckpointJournal` or namespace view) opt into
-    the fault-tolerant runtime; quarantined runs are dropped from the
-    cell averages rather than aborting the table.
+    ``policy`` (an :class:`repro.runtime.ExecutionPolicy`) and ``journal``
+    (a :class:`repro.runtime.CheckpointJournal` or namespace view) opt
+    into the fault-tolerant runtime; quarantined runs are dropped from
+    the cell averages rather than aborting the table.
     """
     rng = random.Random(seed)
     if schedule is None:
@@ -184,7 +176,7 @@ def run_cutoff_study(
     if regime == "good" and good_solution is None:
         good_solution = find_good_solution(
             graph, balance, seed=rng.getrandbits(32), jobs=jobs,
-            policy=exec_policy,
+            policy=policy,
             checkpoint=(
                 journal.batch("reference") if journal is not None else None
             ),
@@ -207,12 +199,12 @@ def run_cutoff_study(
         )
         init_seeds = [rng.getrandbits(32) for _ in range(runs)]
         for cutoff in cutoffs:
-            task = _CutoffRunTask(graph, balance, fixture, policy, cutoff)
+            task = _CutoffRunTask(graph, balance, fixture, cutoff)
             outcomes = parallel_map(
                 task,
                 init_seeds,
                 jobs=jobs,
-                policy=exec_policy,
+                policy=policy,
                 checkpoint=(
                     journal.batch(f"cutoff:{percent}:{cutoff}")
                     if journal is not None

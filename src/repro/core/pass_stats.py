@@ -40,19 +40,17 @@ class _PassStatsRunTask:
         graph: Hypergraph,
         balance: BalanceConstraint,
         fixture: Sequence[int],
-        policy: str,
     ) -> None:
         self.graph = graph
         self.balance = balance
         self.fixture = list(fixture)
-        self.policy = policy
         self._engine: Optional[FMBipartitioner] = None
 
     def __getstate__(self):
-        return (self.graph, self.balance, self.fixture, self.policy)
+        return (self.graph, self.balance, self.fixture)
 
     def __setstate__(self, state):
-        self.graph, self.balance, self.fixture, self.policy = state
+        self.graph, self.balance, self.fixture = state
         self._engine = None
 
     def __call__(
@@ -63,7 +61,7 @@ class _PassStatsRunTask:
                 self.graph,
                 self.balance,
                 fixture=self.fixture,
-                config=FMConfig(policy=self.policy),
+                config=FMConfig(policy="lifo"),
             )
         init = random_balanced_bipartition(
             self.graph,
@@ -144,9 +142,8 @@ def run_pass_stats_study(
     seed: int = 0,
     schedule: Optional[FixedVertexSchedule] = None,
     good_solution: Optional[Sequence[int]] = None,
-    policy: str = "lifo",
     jobs: int = 1,
-    exec_policy=None,
+    policy=None,
     journal=None,
 ) -> PassStatsStudy:
     """Run Table II's measurement.
@@ -158,11 +155,10 @@ def run_pass_stats_study(
     ``jobs > 1`` fans the independent runs over a process pool without
     changing any statistic.
 
-    ``exec_policy`` (an :class:`repro.runtime.ExecutionPolicy`; named to
-    avoid the FM ``policy`` knob) and ``journal`` (a
-    :class:`repro.runtime.CheckpointJournal` or namespace view) opt into
-    the fault-tolerant runtime; quarantined runs are dropped from the
-    averages rather than aborting the table.
+    ``policy`` (an :class:`repro.runtime.ExecutionPolicy`) and ``journal``
+    (a :class:`repro.runtime.CheckpointJournal` or namespace view) opt
+    into the fault-tolerant runtime; quarantined runs are dropped from
+    the averages rather than aborting the table.
     """
     recorder = _observe.active()
     rng = random.Random(seed)
@@ -172,7 +168,7 @@ def run_pass_stats_study(
         "study.pass_stats",
         circuit=circuit_name,
         regime=regime,
-        policy=policy,
+        policy="lifo",
         runs=runs,
     ):
         if regime == "good" and good_solution is None:
@@ -182,7 +178,7 @@ def run_pass_stats_study(
             with recorder.span("study.reference"):
                 good_solution = find_good_solution(
                     graph, balance, seed=rng.getrandbits(32), jobs=jobs,
-                    policy=exec_policy,
+                    policy=policy,
                     checkpoint=(
                         journal.batch("reference")
                         if journal is not None
@@ -200,7 +196,7 @@ def run_pass_stats_study(
                 good_solution=good_solution,
                 seed=rand_fix_seed,
             )
-            task = _PassStatsRunTask(graph, balance, fixture, policy)
+            task = _PassStatsRunTask(graph, balance, fixture)
             init_seeds = [rng.getrandbits(32) for _ in range(runs)]
             with recorder.span(
                 "study.percent", percent=percent, runs=runs
@@ -209,7 +205,7 @@ def run_pass_stats_study(
                     task,
                     init_seeds,
                     jobs=jobs,
-                    policy=exec_policy,
+                    policy=policy,
                     checkpoint=(
                         journal.batch(f"pass_stats:{percent}")
                         if journal is not None

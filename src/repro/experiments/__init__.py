@@ -1,9 +1,9 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Submodules (``table1`` .. ``table4``, ``figures``) are deliberately not
-imported here: they double as ``python -m`` entry points, and importing
-them from the package would shadow the ``runpy`` execution.  Import them
-explicitly, e.g. ``from repro.experiments.table2 import run_table2``.
+Run them through ``python -m repro experiment <name>``.  The driver
+submodules (``table1`` .. ``table4``, ``figures``, ...) are not imported
+here, so importing the package stays light; import the one you need,
+e.g. ``from repro.experiments.table2 import run_table2``.
 """
 
 from repro.experiments.circuits import (

@@ -11,23 +11,18 @@ Profiles trade fidelity for wall-clock time:
   1/2/4/8 starts, 5 trials (the paper used 50);
 * ``quick`` -- smaller stand-in circuits, 6 percentages, 1/2/4 starts,
   2 trials; used by the pytest-benchmark harness.
-
-Run: ``python -m repro.experiments.figures [fig1|fig2] [full|quick]``
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.difficulty import (
     DifficultyStudy,
-    format_study,
     run_difficulty_study,
 )
 from repro.experiments.circuits import load_instance
-from repro.experiments.reporting import check, emit, parse_runtime_flags
 
 
 @dataclass(frozen=True)
@@ -68,23 +63,6 @@ PROFILES = {
         trials=2,
     ),
 }
-
-
-def study_spec(
-    figure: str, profile: str, seed: int
-) -> dict:
-    """The checkpoint-journal spec of one figure invocation.
-
-    Excludes ``jobs`` (and the runtime flags themselves) on purpose: a
-    killed sweep may resume under a different pool size and still has to
-    be the same study.
-    """
-    return {
-        "experiment": "figures",
-        "figure": figure,
-        "profile": profile,
-        "seed": seed,
-    }
 
 
 def run_figure(
@@ -187,29 +165,3 @@ def shape_checks(study: DifficultyStudy) -> List[Tuple[str, bool]]:
             )
         )
     return checks
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-    args, flags = parse_runtime_flags(list(argv) or sys.argv[1:])
-    figure = args[0] if args else "fig1"
-    profile = args[1] if len(args) > 1 else "quick"
-    jobs = int(args[2]) if len(args) > 2 else 1
-    seed = 0
-    study = run_figure(
-        figure,
-        profile,
-        seed=seed,
-        jobs=jobs,
-        policy=flags.execution_policy(),
-        journal=flags.journal(study_spec(figure, profile, seed)),
-    )
-    text = format_study(study)
-    text += "\n\n" + "\n".join(
-        check(label, ok) for label, ok in shape_checks(study)
-    )
-    emit(text, name=f"{figure}_{profile}")
-
-
-if __name__ == "__main__":
-    main()

@@ -7,14 +7,11 @@ Section II protocol with the direct k-way FM engine (k = 4): fix
 growing fractions of vertices either consistently with a good free
 4-way solution or at random, run 1..N starts, and examine whether the
 multistart gap collapses and runtime falls just as in the 2-way case.
-
-Run: ``python -m repro.experiments.multiway [full|quick]``
 """
 
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,7 +21,6 @@ from repro.core.regimes import (
     regime_fixture,
 )
 from repro.experiments.circuits import load_circuit
-from repro.experiments.reporting import check, emit, parse_runtime_flags
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint, relative_balance
 from repro.partition.multistart import kway_multistart
@@ -287,11 +283,6 @@ PROFILE_SETTINGS = {
 }
 
 
-def study_spec(profile: str, seed: int) -> dict:
-    """Checkpoint-journal spec (excludes ``jobs``; see figures.py)."""
-    return {"experiment": "multiway", "profile": profile, "seed": seed}
-
-
 def run_multiway(
     profile: str = "quick",
     seed: int = 0,
@@ -314,27 +305,3 @@ def run_multiway(
         policy=policy,
         journal=journal,
     )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-    args, flags = parse_runtime_flags(list(argv) or sys.argv[1:])
-    profile = args[0] if args else "quick"
-    jobs = int(args[1]) if len(args) > 1 else 1
-    seed = 0
-    study = run_multiway(
-        profile,
-        seed=seed,
-        jobs=jobs,
-        policy=flags.execution_policy(),
-        journal=flags.journal(study_spec(profile, seed)),
-    )
-    text = study.format_table()
-    text += "\n\n" + "\n".join(
-        check(label, ok) for label, ok in shape_checks(study)
-    )
-    emit(text, name=f"multiway_{profile}")
-
-
-if __name__ == "__main__":
-    main()

@@ -17,19 +17,15 @@ percentage than at both 0% and a high percentage, the instance was
 relatively overconstrained: the search, not the solution space, was
 hurt.  We measure the achieved-cut curve on a fine percentage grid and
 report the bump.
-
-Run: ``python -m repro.experiments.overconstrained [full|quick]``
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.core.difficulty import run_difficulty_study
 from repro.experiments.circuits import load_instance
-from repro.experiments.reporting import check, emit
 
 
 @dataclass
@@ -140,19 +136,3 @@ def shape_checks(
         ),
     ]
     return checks
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-    args = list(argv) or sys.argv[1:]
-    profile = args[0] if args else "quick"
-    report = run_overconstrained(profile)
-    text = report.format_report()
-    text += "\n\n" + "\n".join(
-        check(label, ok) for label, ok in shape_checks(report)
-    )
-    emit(text, name=f"overconstrained_{profile}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,105 +1,18 @@
-"""Shared result reporting and runtime flags for the experiment harness.
+"""Shared result reporting for the experiment harness.
 
 Every experiment can print its table/figure data to stdout and
 optionally persist it under ``results/`` so EXPERIMENTS.md entries can
 be regenerated verbatim.
-
-:func:`parse_runtime_flags` is the shared CLI vocabulary for the
-fault-tolerant runtime (see ``docs/robustness.md``): every experiment
-``main`` accepts ``--resume=PATH`` (checkpoint journal; created on
-first use, resumed afterwards), ``--timeout=SECS`` (per-item wall-clock
-deadline) and ``--max-retries=N`` (crash/timeout retry budget before a
-cell is quarantined).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple, Union
-
-from repro.runtime import (
-    CheckpointJournal,
-    ExecutionPolicy,
-    RetryPolicy,
-)
+from typing import Optional, Union
 
 PathLike = Union[str, Path]
 
 DEFAULT_RESULTS_DIR = Path("results")
-
-
-@dataclass(frozen=True)
-class RuntimeFlags:
-    """Parsed ``--resume/--timeout/--max-retries`` experiment flags."""
-
-    resume: Optional[str] = None
-    timeout: Optional[float] = None
-    max_retries: Optional[int] = None
-
-    def execution_policy(self) -> Optional[ExecutionPolicy]:
-        """The :class:`ExecutionPolicy` these flags imply (or ``None``).
-
-        Quarantine is enabled whenever the fault-tolerant path is opted
-        into at all: an experiment invoked with a timeout or a retry
-        budget wants null rows over an aborted sweep.
-        """
-        if self.timeout is None and self.max_retries is None:
-            return None
-        retry = RetryPolicy(
-            max_attempts=(
-                self.max_retries + 1 if self.max_retries is not None else 3
-            )
-        )
-        return ExecutionPolicy(
-            timeout=self.timeout, retry=retry, quarantine=True
-        )
-
-    def journal(self, spec: Any) -> Optional[CheckpointJournal]:
-        """The checkpoint journal at ``--resume``, keyed by ``spec``.
-
-        ``spec`` must describe everything that determines the study's
-        results (and nothing that doesn't -- e.g. ``jobs`` stays out so
-        a sweep can resume under a different pool size).
-        """
-        if self.resume is None:
-            return None
-        return CheckpointJournal(self.resume, spec)
-
-
-def parse_runtime_flags(
-    args: Sequence[str],
-) -> Tuple[List[str], RuntimeFlags]:
-    """Split ``--resume/--timeout/--max-retries`` off an argv list.
-
-    Returns the remaining (positional) arguments plus the parsed flags,
-    so experiment ``main`` functions keep their historical positional
-    interface.
-    """
-    rest: List[str] = []
-    resume: Optional[str] = None
-    timeout: Optional[float] = None
-    max_retries: Optional[int] = None
-    for token in args:
-        if token.startswith("--resume="):
-            resume = token.split("=", 1)[1]
-        elif token == "--resume":
-            raise ValueError("--resume requires a value: --resume=PATH")
-        elif token.startswith("--timeout="):
-            timeout = float(token.split("=", 1)[1])
-            if timeout <= 0:
-                raise ValueError(f"--timeout must be positive, got {timeout}")
-        elif token.startswith("--max-retries="):
-            max_retries = int(token.split("=", 1)[1])
-            if max_retries < 0:
-                raise ValueError(
-                    f"--max-retries must be >= 0, got {max_retries}"
-                )
-        else:
-            rest.append(token)
-    return rest, RuntimeFlags(
-        resume=resume, timeout=timeout, max_retries=max_retries
-    )
 
 
 def emit(

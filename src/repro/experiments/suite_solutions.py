@@ -7,19 +7,15 @@ for every A..D x {V,H} instance, the best multilevel cut over N starts,
 the single-start average, and per-start runtime -- plus the free-
 hypergraph cut of the same block as context (how much the terminals
 constrain the block).
-
-Run: ``python -m repro.experiments.suite_solutions [full|quick]``
 """
 
 from __future__ import annotations
 
 import statistics
-import sys
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.experiments.circuits import load_circuit
-from repro.experiments.reporting import check, emit
 from repro.partition.multistart import multilevel_multistart
 from repro.partition.solution import FREE
 from repro.placement.suite import BenchmarkSuite, build_suite
@@ -161,20 +157,3 @@ def shape_checks(tables: List[SolutionTable]) -> List[Tuple[str, bool]]:
             )
         )
     return checks
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-    args = list(argv) or sys.argv[1:]
-    profile = args[0] if args else "quick"
-    jobs = int(args[1]) if len(args) > 1 else 1
-    tables = run_suite_solutions(profile, jobs=jobs)
-    text = "\n\n".join(t.format_table() for t in tables)
-    text += "\n\n" + "\n".join(
-        check(label, ok) for label, ok in shape_checks(tables)
-    )
-    emit(text, name=f"suite_solutions_{profile}")
-
-
-if __name__ == "__main__":
-    main()

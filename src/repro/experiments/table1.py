@@ -5,8 +5,6 @@ number of fixed vertices due to propagated terminals will exceed a
 specified percentage (5%, 10%, or 20%) of the total number of vertices
 in a top-down placement when the design has given Rent parameter p",
 with k = 3.5 pins per cell.
-
-Run: ``python -m repro.experiments.table1``
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ from repro.core.rent import (
     DEFAULT_THRESHOLDS,
     TableOneRow,
     fixed_fraction,
-    format_table_one,
     table_one,
 )
-from repro.experiments.reporting import check, emit
 
 
 def run_table1(
@@ -72,17 +68,3 @@ def shape_checks(rows: List[TableOneRow]) -> List[Tuple[str, bool]]:
     )
     checks.append(("closed-form thresholds verified numerically", exact))
     return checks
-
-
-def main() -> None:
-    """CLI entry point."""
-    rows = run_table1()
-    text = format_table_one(rows)
-    text += "\n\n" + "\n".join(
-        check(label, ok) for label, ok in shape_checks(rows)
-    )
-    emit(text, name="table1")
-
-
-if __name__ == "__main__":
-    main()

@@ -6,18 +6,14 @@ LIFO-FM" -- extended with the best-prefix position and wasted-move
 percentage that carry the paper's actual conclusion ("increasingly
 higher percentages of the moves in the FM passes are wasted as the
 proportion of fixed terminals increases").
-
-Run: ``python -m repro.experiments.table2 [full|quick]``
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.pass_stats import PassStatsStudy, run_pass_stats_study
 from repro.experiments.circuits import load_instance
-from repro.experiments.reporting import check, emit, parse_runtime_flags
 
 PERCENTS = (0.0, 10.0, 20.0, 30.0)
 
@@ -25,11 +21,6 @@ PROFILE_SETTINGS = {
     "full": {"circuits": ("ibm01s", "ibm03s"), "runs": 50},
     "quick": {"circuits": ("quick01",), "runs": 10},
 }
-
-
-def study_spec(profile: str, seed: int) -> dict:
-    """Checkpoint-journal spec (excludes ``jobs``; see figures.py)."""
-    return {"experiment": "table2", "profile": profile, "seed": seed}
 
 
 def run_table2(
@@ -59,7 +50,7 @@ def run_table2(
             runs=settings["runs"],
             seed=seed,
             jobs=jobs,
-            exec_policy=policy,
+            policy=policy,
             journal=journal.namespace(name) if journal is not None else None,
         )
     return studies
@@ -92,30 +83,3 @@ def shape_checks(study: PassStatsStudy) -> List[Tuple[str, bool]]:
         ),
     ]
     return checks
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-    args, flags = parse_runtime_flags(list(argv) or sys.argv[1:])
-    profile = args[0] if args else "quick"
-    jobs = int(args[1]) if len(args) > 1 else 1
-    seed = 0
-    studies = run_table2(
-        profile,
-        seed=seed,
-        jobs=jobs,
-        policy=flags.execution_policy(),
-        journal=flags.journal(study_spec(profile, seed)),
-    )
-    blocks = []
-    for study in studies.values():
-        block = study.format_table()
-        block += "\n" + "\n".join(
-            check(label, ok) for label, ok in shape_checks(study)
-        )
-        blocks.append(block)
-    emit("\n\n".join(blocks), name=f"table2_{profile}")
-
-
-if __name__ == "__main__":
-    main()

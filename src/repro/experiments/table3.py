@@ -4,18 +4,14 @@ Reproduces "effects of cutting off all passes (after the first pass) at
 the given move limit during LIFO-FM partitioning ... data is expressed
 as average cut (average CPU time)": cutoffs at 50/25/10/5% of the moves
 against the uncut baseline, across fixed percentages.
-
-Run: ``python -m repro.experiments.table3 [full|quick]``
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.cutoff import PAPER_CUTOFFS, CutoffStudy, run_cutoff_study
 from repro.experiments.circuits import load_instance
-from repro.experiments.reporting import check, emit, parse_runtime_flags
 
 PERCENTS = (0.0, 10.0, 20.0, 30.0)
 
@@ -31,11 +27,6 @@ PROFILE_SETTINGS = {
         "cutoffs": (1.0, 0.25, 0.05),
     },
 }
-
-
-def study_spec(profile: str, seed: int) -> dict:
-    """Checkpoint-journal spec (excludes ``jobs``; see figures.py)."""
-    return {"experiment": "table3", "profile": profile, "seed": seed}
 
 
 def run_table3(
@@ -65,7 +56,7 @@ def run_table3(
             runs=settings["runs"],
             seed=seed,
             jobs=jobs,
-            exec_policy=policy,
+            policy=policy,
             journal=journal.namespace(name) if journal is not None else None,
         )
     return studies
@@ -121,30 +112,3 @@ def shape_checks(study: CutoffStudy) -> List[Tuple[str, bool]]:
         ),
     ]
     return checks
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-    args, flags = parse_runtime_flags(list(argv) or sys.argv[1:])
-    profile = args[0] if args else "quick"
-    jobs = int(args[1]) if len(args) > 1 else 1
-    seed = 0
-    studies = run_table3(
-        profile,
-        seed=seed,
-        jobs=jobs,
-        policy=flags.execution_policy(),
-        journal=flags.journal(study_spec(profile, seed)),
-    )
-    blocks = []
-    for study in studies.values():
-        block = study.format_table()
-        block += "\n" + "\n".join(
-            check(label, ok) for label, ok in shape_checks(study)
-        )
-        blocks.append(block)
-    emit("\n\n".join(blocks), name=f"table3_{profile}")
-
-
-if __name__ == "__main__":
-    main()

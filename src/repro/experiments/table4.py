@@ -5,18 +5,14 @@ circuit with the top-down placer, carve the A..D block series, derive
 vertical- and horizontal-cutline instances with propagated terminals,
 and tabulate cells / pads (terminal vertices) / nets / external nets /
 Max% per instance.
-
-Run: ``python -m repro.experiments.table4 [full|quick]``
 """
 
 from __future__ import annotations
 
-import sys
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.experiments.circuits import load_circuit
-from repro.experiments.reporting import check, emit
-from repro.placement.suite import BenchmarkSuite, build_suite, format_table
+from repro.placement.suite import BenchmarkSuite, build_suite
 
 PROFILE_SETTINGS = {
     "full": ("ibm01s", "ibm02s", "ibm03s"),
@@ -104,19 +100,3 @@ def shape_checks(suites: List[BenchmarkSuite]) -> List[Tuple[str, bool]]:
             )
         )
     return checks
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-    args = list(argv) or sys.argv[1:]
-    profile = args[0] if args else "quick"
-    suites = run_table4(profile)
-    text = format_table([s for s in suites])
-    text += "\n\n" + "\n".join(
-        check(label, ok) for label, ok in shape_checks(suites)
-    )
-    emit(text, name=f"table4_{profile}")
-
-
-if __name__ == "__main__":
-    main()

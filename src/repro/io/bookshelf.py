@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.instance import PartitioningInstance
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, HypergraphError
 from repro.partition.balance import (
     BalanceConstraint,
     MultiBalanceConstraint,
@@ -66,8 +66,8 @@ from repro.partition.balance import (
 PathLike = Union[str, Path]
 
 
-class BookshelfFormatError(ValueError):
-    """Raised on malformed bookshelf content."""
+class BookshelfFormatError(HypergraphError):
+    """Raised on malformed bookshelf content (a ``ValueError``)."""
 
 
 # ----------------------------------------------------------------------

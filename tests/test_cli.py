@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -248,9 +250,110 @@ class TestEvaluate:
         assert "balance constraints : VIOLATED" in out
 
 
+class TestErrors:
+    def test_missing_instance_is_one_line(self, tmp_path, capsys):
+        rc = main(
+            ["partition", "--dir", str(tmp_path / "missing"), "--name", "x"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: missing file: ")
+        assert err.count("\n") == 1
+
+    def test_resume_spec_mismatch_is_one_line(
+        self, generated, tmp_path, capsys
+    ):
+        journal = str(tmp_path / "j.jsonl")
+        partition = ["partition", "--dir", str(generated), "--name", "clic"]
+        assert main(partition + ["--resume", journal]) == 0
+        capsys.readouterr()
+        rc = main(partition + ["--seed", "1", "--resume", journal])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "different study spec" in err
+        assert err.count("\n") == 1
+
+
+def _journal_records(path):
+    return len(path.read_text().splitlines()) - 1  # minus the header
+
+
 class TestExperiment:
     def test_table1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(["experiment", "table1"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_table3_resume_is_idempotent(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments import table3
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(
+            table3.PROFILE_SETTINGS["quick"], "circuits", ("tiny01",)
+        )
+        journal = tmp_path / "j.jsonl"
+        argv = ["experiment", "table3", "--resume", str(journal)]
+
+        def untimed(out):
+            return re.sub(r"\d+\.\d+s", "<s>", out)
+
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        records = _journal_records(journal)
+        assert records > 0
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert _journal_records(journal) == records
+        assert "tiny01" in first
+        assert untimed(second) == untimed(first)
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], None),
+            (["--timeout", "5"], (5.0, 3)),
+            (["--max-retries", "0"], (None, 1)),
+            (["--timeout", "2.5", "--max-retries", "4"], (2.5, 5)),
+        ],
+    )
+    def test_runtime_flags_reach_the_driver(
+        self, flags, expected, tmp_path, monkeypatch
+    ):
+        from repro.experiments import table2
+
+        calls = []
+
+        def fake_run_table2(profile, **kwargs):
+            calls.append((profile, kwargs))
+            return {}
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(table2, "run_table2", fake_run_table2)
+        assert main(["experiment", "table2", "--jobs", "1"] + flags) == 0
+        [(profile, kwargs)] = calls
+        assert profile == "quick"
+        assert kwargs["jobs"] == 1
+        assert kwargs["journal"] is None
+        policy = kwargs["policy"]
+        if expected is None:
+            assert policy is None
+        else:
+            timeout, attempts = expected
+            assert policy.timeout == timeout
+            assert policy.retry.max_attempts == attempts
+            assert policy.quarantine
+
+    def test_table4_ignores_resume(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments import table4
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(table4.PROFILE_SETTINGS, "quick", ("tiny01",))
+        journal = tmp_path / "j.jsonl"
+        assert main(["experiment", "table4", "--resume", str(journal)]) == 0
+        out = capsys.readouterr().out
+        assert "table4 does not support" in out
+        assert "ignoring them" in out
+        assert not journal.exists()
+        assert (tmp_path / "results" / "table4_quick.txt").exists()
