@@ -3,11 +3,11 @@
 Times the three coarsening stages (heavy-edge matching, random matching,
 contraction) plus whole-hierarchy construction, kernel
 (``repro.partition.matching`` / ``repro.hypergraph.contraction``) against
-the retained references (``matching_reference`` /
-``contraction_reference``), and an end-to-end multilevel comparison of
-the full kernel stack (kernel coarsening + flat FM + pooled engines)
-against the full reference stack (reference coarsening + reference FM,
-fresh engine per level).  For every comparison it
+the test oracles (``tests.oracles.matching_reference`` /
+``tests.oracles.contraction_reference``), and an end-to-end multilevel
+comparison of the full kernel stack (kernel coarsening + flat FM +
+pooled engines) against the full reference stack (reference coarsening
++ reference FM, fresh engine per level).  For every comparison it
 
 * asserts the results are bit-identical (labels, coarse CSR buffers,
   weights, areas, fixtures, final cuts and partition vectors);
@@ -21,7 +21,10 @@ benchmark stays useful on starved CI machines.
 
 Not collected by pytest (no ``test_`` prefix); run directly:
 
-    PYTHONPATH=src python benchmarks/coarsening.py [out.json] [ci|quick|full]
+    PYTHONPATH=src:. python benchmarks/coarsening.py [out.json] [ci|quick|full]
+
+(``.``, the repository root, makes the ``tests.oracles`` package
+importable.)
 
 ``ci`` runs two small instances (the determinism gate for continuous
 integration); ``quick`` is the default local profile; ``full`` adds a
@@ -38,7 +41,6 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
-from repro.hypergraph import contraction_reference
 from repro.hypergraph.contraction import contract
 from repro.hypergraph.generators import (
     CircuitSpec,
@@ -47,7 +49,6 @@ from repro.hypergraph.generators import (
     grid_hypergraph,
 )
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.partition import matching_reference
 from repro.partition.fm import FMConfig
 from repro.partition.fm_reference import ReferenceFMBipartitioner
 from repro.partition.matching import (
@@ -60,6 +61,7 @@ from repro.partition.multilevel import (
     MultilevelConfig,
 )
 from repro.partition.solution import FREE
+from tests.oracles import contraction_reference, matching_reference
 
 FIXED_FRACTIONS = (0.0, 0.2, 0.5)
 MATCH_SEEDS = (11, 12, 13)
@@ -294,15 +296,8 @@ class _ReferenceMultilevel(MultilevelBipartitioner):
         return matching_reference.coarsen(graph, fixture, labels)
 
     def _flat_engine(self, graph, fixture):
-        cfg = self.config
         return ReferenceFMBipartitioner(
-            graph,
-            self.balance,
-            fixture=fixture,
-            config=FMConfig(
-                policy=cfg.refine_policy,
-                pass_move_limit_fraction=cfg.pass_move_limit_fraction,
-            ),
+            graph, self.balance, fixture=fixture, config=FMConfig(policy="clip")
         )
 
 

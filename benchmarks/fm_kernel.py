@@ -1,7 +1,9 @@
 """FM kernel benchmark: flat-array kernel vs. the retained reference.
 
 Runs the 2-way FM engines (kernel: ``repro.partition.fm``, reference:
-``repro.partition.fm_reference``) and the k-way pair over generated
+``repro.partition.fm_reference``) and the k-way pair (kernel:
+``repro.partition.kwayfm``, reference: the test oracle
+``tests.oracles.kwayfm_reference``) over generated
 instances with several fixed-vertex fractions, with ``record_moves``
 on for both sides, and
 
@@ -17,7 +19,10 @@ benchmark stays useful on starved CI machines.
 
 Not collected by pytest (no ``test_`` prefix); run directly:
 
-    PYTHONPATH=src python benchmarks/fm_kernel.py [out.json] [ci|quick|full]
+    PYTHONPATH=src:. python benchmarks/fm_kernel.py [out.json] [ci|quick|full]
+
+(``.``, the repository root, makes the ``tests.oracles`` package
+importable.)
 
 ``ci`` runs two small instances with 2 starts (the determinism gate for
 continuous integration); ``quick`` is the default local profile; ``full``
@@ -47,12 +52,10 @@ from repro.partition.balance import (
     relative_bipartition_balance,
 )
 from repro.partition.fm import FMBipartitioner, FMConfig
-from repro.partition.fm_reference import (
-    ReferenceFMBipartitioner,
-    ReferenceKWayFMRefiner,
-)
+from repro.partition.fm_reference import ReferenceFMBipartitioner
 from repro.partition.kwayfm import KWayFMConfig, KWayFMRefiner
 from repro.partition.solution import FREE
+from tests.oracles.kwayfm_reference import ReferenceKWayFMRefiner
 
 FIXED_FRACTIONS = (0.0, 0.2)
 

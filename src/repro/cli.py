@@ -48,7 +48,6 @@ from repro.runtime import (
     CheckpointError,
     CheckpointJournal,
     ExecutionPolicy,
-    RetryPolicy,
     jobs_from_env,
     observe,
     parse_jobs,
@@ -216,7 +215,7 @@ def runtime_from_args(args: argparse.Namespace, spec: dict):
         retries = 2 if args.max_retries is None else args.max_retries
         policy = ExecutionPolicy(
             timeout=args.timeout,
-            retry=RetryPolicy(max_attempts=retries + 1),
+            max_attempts=retries + 1,
             quarantine=True,
         )
     journal = None

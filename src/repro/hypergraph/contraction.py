@@ -24,7 +24,7 @@ validating constructor uses.
 
 The kernel's contract is strict: the coarse graph is **bit-identical**
 to the one produced by the retained reference implementation in
-:mod:`repro.hypergraph.contraction_reference` -- same net order (first
+:mod:`tests.oracles.contraction_reference` -- same net order (first
 occurrence of each distinct coarse pin set), same sorted pin lists, same
 summed integer weights, same float areas accumulated in the same order,
 same CSR buffers.  ``tests/partition/test_coarsening_differential.py``

@@ -18,10 +18,7 @@ from repro.partition.fm import (
     FMResult,
     PassRecord,
 )
-from repro.partition.fm_reference import (
-    ReferenceFMBipartitioner,
-    ReferenceKWayFMRefiner,
-)
+from repro.partition.fm_reference import ReferenceFMBipartitioner
 from repro.partition.gainbucket import GainBucket
 from repro.partition.initial import (
     greedy_bfs_bipartition,
@@ -125,7 +122,6 @@ __all__ = [
     "MultistartResult",
     "PassRecord",
     "ReferenceFMBipartitioner",
-    "ReferenceKWayFMRefiner",
     "StartOutcome",
     "absolute_balance",
     "annealing_baseline",

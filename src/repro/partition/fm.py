@@ -74,7 +74,8 @@ from repro.partition.solution import (
 POLICIES = ("lifo", "fifo", "clip")
 
 _HARD_PASS_CAP = 200
-"""Safety bound on passes per run when ``max_passes < 0``.
+"""Safety bound on passes per run; a run otherwise ends at the first
+pass that does not improve.
 
 FM converges in well under 20 passes on every instance in the
 literature (the paper's Table II reports ~6); the cap only guards
@@ -108,7 +109,7 @@ class FMConfig:
 
     ``pass_move_limit_fraction`` below 1.0 enables the paper's Section III
     cutoff: passes after the first stop once ``fraction * movable`` moves
-    have been made.  ``max_passes < 0`` means "until no improvement".
+    have been made.  Passes repeat until one fails to improve.
     ``record_moves`` keeps the full per-pass move sequence on the result
     (used by the differential tests and the kernel benchmark).
     ``adaptive_stop`` ends a pass early by the random-walk rule of
@@ -117,7 +118,6 @@ class FMConfig:
     """
 
     policy: str = "lifo"
-    max_passes: int = -1
     pass_move_limit_fraction: float = 1.0
     record_moves: bool = False
     adaptive_stop: bool = False
@@ -129,8 +129,6 @@ class FMConfig:
             )
         if not 0.0 < self.pass_move_limit_fraction <= 1.0:
             raise ValueError("pass_move_limit_fraction must be in (0, 1]")
-        if self.max_passes == 0:
-            raise ValueError("max_passes must be nonzero (or negative)")
 
 
 @dataclass(frozen=True)
@@ -481,12 +479,9 @@ class FMBipartitioner:
 
         self._init_run_state(parts)
 
-        max_passes = self.config.max_passes
-        if max_passes < 0:
-            max_passes = _HARD_PASS_CAP
         record_moves = self.config.record_moves
         pass_index = 0
-        while pass_index < max_passes:
+        while pass_index < _HARD_PASS_CAP:
             key_before = self._progress_key(cut, loads)
             record, cut, move_log = self._run_pass(
                 parts, loads, cut, pass_index

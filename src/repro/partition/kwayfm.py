@@ -21,7 +21,7 @@ and a net-span buffer, derived once per :meth:`KWayFMRefiner.run` and
 kept exact across passes by replaying the rolled-back moves in reverse,
 plus one reusable :class:`GainBucket` reset per pass.  The move sequence
 is bit-identical to the straightforward engine retained in
-:mod:`repro.partition.fm_reference`.
+``tests/oracles/kwayfm_reference.py``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from repro.partition.solution import FREE, cut_size, validate_fixture
 from repro.runtime.observe import recorder as _observe
 
 _KWAY_PASS_CAP = 100
+"""Safety bound on passes per run; a run otherwise ends at the first
+pass that does not improve."""
 
 _NIL = -2
 """GainBucket link terminator, mirrored here for the inlined hot loop."""
@@ -51,15 +53,7 @@ class KWayFMConfig:
     logs on the result (differential tests and the kernel benchmark).
     """
 
-    max_passes: int = -1
-    pass_move_limit_fraction: float = 1.0
     record_moves: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.pass_move_limit_fraction <= 1.0:
-            raise ValueError("pass_move_limit_fraction must be in (0, 1]")
-        if self.max_passes == 0:
-            raise ValueError("max_passes must be nonzero (or negative)")
 
 
 @dataclass
@@ -230,13 +224,9 @@ class KWayFMRefiner:
 
         rng = random.Random(seed)
         record_moves = self.config.record_moves
-        max_passes = self.config.max_passes
-        if max_passes < 0:
-            max_passes = _KWAY_PASS_CAP
-        while result.num_passes < max_passes:
+        while result.num_passes < _KWAY_PASS_CAP:
             key_before = self._progress_key(cut, loads)
-            cut, moves, log = self._run_pass(parts, loads, cut, rng,
-                                             result.num_passes)
+            cut, moves, log = self._run_pass(parts, loads, cut, rng)
             result.num_passes += 1
             result.total_moves += moves
             result.pass_moves.append(moves)
@@ -373,7 +363,6 @@ class KWayFMRefiner:
         loads: List[float],
         cut: int,
         rng: random.Random,
-        pass_index: int,
     ) -> Tuple[int, int, List[Tuple[int, int, int]]]:
         k = self.num_parts
         cnt = self._cnt
@@ -472,15 +461,6 @@ class KWayFMRefiner:
                     bmaxi = idx
                 stored_target[v] = target
 
-        movable_count = len(self._movable)
-        if pass_index == 0 or self.config.pass_move_limit_fraction >= 1.0:
-            move_limit = movable_count
-        else:
-            move_limit = max(
-                1,
-                int(self.config.pass_move_limit_fraction * movable_count),
-            )
-
         move_log: List[Tuple[int, int, int]] = []  # (v, source, target)
         log_append = move_log.append
         nmoves = 0
@@ -488,7 +468,10 @@ class KWayFMRefiner:
         best_cut = cut
         bk_state, bk_a, bk_b = self._quality_key(cut, loads)
 
-        while nmoves < move_limit and bcount:
+        # Each free vertex moves at most once: a popped vertex is
+        # re-inserted only when it did not move, so the pass ends when
+        # the bucket empties.
+        while bcount:
             # ---- inlined pop_max: LIFO head of the max bucket -------
             v = bh[bmaxi]
             nu = bn[v]

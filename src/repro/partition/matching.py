@@ -46,7 +46,7 @@ grows, so stale stamps from earlier calls (or from the relabelling
 pass, which shares the counter) can never alias a live generation.
 
 The kernels preserve the retained reference implementations in
-:mod:`repro.partition.matching_reference` *bit for bit*: the same rng
+:mod:`tests.oracles.matching_reference` *bit for bit*: the same rng
 consumption (one ``shuffle`` plus, for the random matcher, one
 ``choice`` per matched vertex over an identically-ordered candidate
 list), the same float score accumulation order (dict insertion order in

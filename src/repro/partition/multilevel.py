@@ -42,35 +42,40 @@ from repro.runtime.observe import recorder as _observe
 
 MATCHING_SCHEMES = ("heavy", "random")
 
+CLUSTERING_RATIO = 0.9
+"""Largest coarse/fine vertex-count ratio a matching round may produce;
+a round that shrinks less stops the coarsening (the matcher has run out
+of signal)."""
+
+MAX_CLUSTER_AREA_FRACTION = 0.04
+"""Cap on a cluster's area, as a fraction of the graph's total area."""
+
+MAX_LEVELS = 40
+"""Safety bound on coarsening levels."""
+
+REFINE_POLICY = "clip"
+"""FM selection policy at every level: the paper's CLIP FM."""
+
 
 @dataclass(frozen=True)
 class MultilevelConfig:
     """Parameters of the multilevel engine.
 
-    ``clustering_ratio`` is the maximum coarse/fine vertex-count ratio a
-    matching round may produce; a round that shrinks less stops the
-    coarsening (the matcher has run out of signal).  ``coarsest_size``
-    stops coarsening once few enough movable vertices remain.
-    ``refine_policy`` follows the paper's default of CLIP FM; the flat
-    engine's pass-cutoff knob is exposed for the fixed-terminals studies.
-    ``adaptive_stop`` turns on the flat engine's random-walk pass
-    termination (:data:`repro.partition.fm.ADAPTIVE_STOP_ALPHA`) for
-    initial partitioning, refinement at every level and V-cycles; most
-    moves of an exhaustive pass are rolled back anyway.  ``False``
-    reproduces the exhaustive engine bit for bit.
+    ``coarsest_size`` stops coarsening once few enough movable vertices
+    remain.  ``adaptive_stop`` turns on the flat engine's random-walk
+    pass termination (:data:`repro.partition.fm.ADAPTIVE_STOP_ALPHA`)
+    for initial partitioning, refinement at every level and V-cycles;
+    most moves of an exhaustive pass are rolled back anyway.  ``False``
+    reproduces the exhaustive engine bit for bit.  Every level refines
+    with :data:`REFINE_POLICY` FM and exhaustive-length passes.
     """
 
     coarsest_size: int = 120
-    clustering_ratio: float = 0.9
-    max_cluster_area_fraction: float = 0.04
     matching: str = "heavy"
-    refine_policy: str = "clip"
     initial_starts: int = 4
     terminal_seeded_starts: bool = True
-    pass_move_limit_fraction: float = 1.0
     adaptive_stop: bool = True
     vcycles: int = 0
-    max_levels: int = 40
 
     def __post_init__(self) -> None:
         if self.matching not in MATCHING_SCHEMES:
@@ -78,8 +83,6 @@ class MultilevelConfig:
                 f"unknown matching {self.matching!r}; "
                 f"expected one of {MATCHING_SCHEMES}"
             )
-        if not 0.0 < self.clustering_ratio < 1.0:
-            raise ValueError("clustering_ratio must be in (0, 1)")
         if self.coarsest_size < 2:
             raise ValueError("coarsest_size must be at least 2")
         if self.initial_starts < 1:
@@ -230,9 +233,9 @@ class MultilevelBipartitioner:
         graph = self.graph
         fixture = self.fixture
         guard = list(partition_guard) if partition_guard is not None else None
-        max_cluster_area = cfg.max_cluster_area_fraction * graph.total_area
+        max_cluster_area = MAX_CLUSTER_AREA_FRACTION * graph.total_area
 
-        while len(levels) < cfg.max_levels:
+        while len(levels) < MAX_LEVELS:
             movable = fixture.count(FREE)
             if movable <= cfg.coarsest_size:
                 break
@@ -252,7 +255,7 @@ class MultilevelBipartitioner:
                 )
                 coarse_n = max(labels) + 1
                 sp.set(coarse_vertices=coarse_n)
-                if coarse_n >= cfg.clustering_ratio * graph.num_vertices:
+                if coarse_n >= CLUSTERING_RATIO * graph.num_vertices:
                     sp.set(stopped=True)
                     break
                 level = self._coarsen(graph, fixture, labels)
@@ -386,15 +389,12 @@ class MultilevelBipartitioner:
         engine = self._engine_pool.get(key)
         if engine is not None:
             return engine.rebind(graph, fixture)
-        cfg = self.config
         engine = FMBipartitioner(
             graph,
             self.balance,
             fixture=fixture,
             config=FMConfig(
-                policy=cfg.refine_policy,
-                pass_move_limit_fraction=cfg.pass_move_limit_fraction,
-                adaptive_stop=cfg.adaptive_stop,
+                policy=REFINE_POLICY, adaptive_stop=self.config.adaptive_stop
             ),
         )
         if len(self._engine_pool) >= self._ENGINE_POOL_CAP:

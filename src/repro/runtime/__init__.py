@@ -11,7 +11,7 @@ layer every harness in the repo shares:
   reproduces the serial results bit for bit);
 * :func:`parallel_map` -- ordered map over picklable tasks backed by a
   ``ProcessPoolExecutor``, with per-item timeouts, crash-isolated
-  retries (:class:`RetryPolicy` inside an :class:`ExecutionPolicy`),
+  retries on a fixed backoff (both set by an :class:`ExecutionPolicy`),
   optional quarantine of persistently-failing items, and a serial
   fallback as the last resort;
 * :class:`CheckpointJournal` -- the durable JSONL journal that lets a
@@ -59,7 +59,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.pool import (
     ExecutionPolicy,
-    RetryPolicy,
     SerialFallbackWarning,
     jobs_from_env,
     parallel_map,
@@ -83,7 +82,6 @@ __all__ = [
     "PoolFault",
     "Quarantined",
     "QuarantineWarning",
-    "RetryPolicy",
     "SerialFallbackWarning",
     "TimedCall",
     "TracedValue",

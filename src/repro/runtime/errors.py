@@ -90,8 +90,8 @@ class ItemFailed(PoolFault):
     """Terminal failure: the item exhausted its retry budget.
 
     ``attempt`` holds the total number of attempts made.  The last
-    underlying fault (a :class:`WorkerCrash`, :class:`WorkerTimeout`
-    or the task's own exception) is chained as ``__cause__``.
+    underlying fault (a :class:`WorkerCrash` or :class:`WorkerTimeout`)
+    is chained as ``__cause__``.
     """
 
 

@@ -13,8 +13,8 @@ contract:
   serial path with a single :class:`SerialFallbackWarning` -- results
   are identical either way, only the wall clock changes;
 * a worker that **crashes** or **hangs** no longer takes the study
-  down: the affected items are resubmitted to a respawned pool under a
-  deterministic :class:`RetryPolicy`, per-item wall-clock timeouts
+  down: the affected items are resubmitted to a respawned pool with a
+  fixed backoff (:func:`retry_delay`), per-item wall-clock timeouts
   reclaim hung workers, and an :class:`~repro.runtime.errors.ItemFailed`
   (or, with ``quarantine=True``, a null-result
   :class:`~repro.runtime.errors.Quarantined` row) marks the rare item
@@ -33,14 +33,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import random
 import time
-import traceback
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -123,53 +121,33 @@ def resolve_jobs(jobs: Optional[Union[int, str]]) -> int:
     return jobs
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with deterministic exponential backoff.
+def retry_delay(attempt: int) -> float:
+    """Seconds to back off after failed ``attempt`` (1-based).
 
-    ``max_attempts`` is the total execution budget per item (3 means:
-    first try plus two retries).  Backoff for attempt ``a`` is
-    ``min(backoff_max, backoff_base * backoff_factor**(a-1))`` scaled
-    by seeded jitter -- deterministic in ``(jitter_seed, item index,
-    attempt)``, so two runs of the same study back off identically.
-    ``retry_task_errors`` extends the retry budget to exceptions raised
-    *by the task itself* (off by default: a deterministic task raises
-    deterministically, so retrying is only useful against injected or
-    environmental flakiness).
+    0.05 s doubling per attempt, capped at 2 s.  The schedule is the
+    same for every item and run: one driver backs off against its own
+    pool, so there is nothing to de-synchronise.
     """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-    jitter_seed: int = 0
-    retry_task_errors: bool = False
-
-    def delay(self, index: int, attempt: int) -> float:
-        """Backoff before retrying ``index`` after failed ``attempt``."""
-        bounded = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** max(0, attempt - 1),
-        )
-        rng = random.Random(f"{self.jitter_seed}:{index}:{attempt}")
-        return bounded * (1.0 + self.jitter * rng.random())
+    return min(2.0, 0.05 * 2 ** (attempt - 1))
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """The fault-tolerance knobs of one ``parallel_map`` invocation.
+    """The fault-tolerance settings of one ``parallel_map`` invocation.
 
     ``timeout`` is the per-item wall-clock budget in seconds (measured
     from the item's submission to a worker; the submission window never
     exceeds the worker count, so queue wait does not eat the budget).
-    ``quarantine=True`` turns retry-exhausted items into
-    :class:`~repro.runtime.errors.Quarantined` null-result rows instead
-    of aborting the whole map.
+    ``max_attempts`` is the execution budget per item against worker
+    crashes and timeouts (3 means: first try plus two retries).  A
+    task's own exception is never retried -- a deterministic task
+    raises deterministically.  ``quarantine=True`` turns failed items
+    into :class:`~repro.runtime.errors.Quarantined` null-result rows
+    instead of aborting the whole map.
     """
 
     timeout: Optional[float] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    max_attempts: int = 3
     quarantine: bool = False
 
 
@@ -221,12 +199,6 @@ def _run_item(index: int, item: Any) -> Any:
     return TracedValue(value, recorder.fragment())
 
 
-def _format_traceback(exc: BaseException) -> str:
-    return "".join(
-        traceback.format_exception(type(exc), exc, exc.__traceback__)
-    )
-
-
 def _warn_serial_fallback(message: str, cause: Optional[BaseException]) -> None:
     recorder = observe.active()
     if recorder.enabled:
@@ -266,7 +238,7 @@ def parallel_map(
     environment plan).
 
     Exceptions raised *by the task* propagate to the caller unchanged
-    (unless retried or quarantined by ``policy``); failures of the pool
+    (unless quarantined by ``policy``); failures of the pool
     machinery itself are retried against respawned pools and degrade to
     a serial re-run only as a last resort.
     """
@@ -327,37 +299,26 @@ def _serial_run(
     checkpoint: Optional[CheckpointBatch],
     plan: Optional[FaultPlan],
 ) -> None:
-    """Inline execution honoring checkpoint/retry/quarantine.
+    """Inline execution honoring checkpoint/quarantine.
 
     Per-item timeouts do not apply inline (there is no worker to
     reclaim); a serial ``crash`` fault takes down the driver itself,
     which is the scenario the checkpoint journal exists for.
     """
-    retry = policy.retry
     recorder = observe.active()
     for i in pending:
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                if plan is not None:
-                    plan.fire(i)
-                value = timed_call(task, items[i]) if timed else task(items[i])
-            except Exception as exc:  # noqa: BLE001 - routed by policy
-                if retry.retry_task_errors and attempt < retry.max_attempts:
-                    if recorder.enabled:
-                        recorder.count("pool.retries")
-                    time.sleep(retry.delay(i, attempt))
-                    continue
-                _fail_item(i, items[i], attempt, exc, policy, checkpoint,
-                           results, raise_original=not retry.retry_task_errors)
-                break
-            results[i] = value
-            if recorder.enabled:
-                recorder.count("pool.items_executed")
-            if checkpoint is not None:
-                checkpoint.record(i, items[i], value)
-            break
+        try:
+            if plan is not None:
+                plan.fire(i)
+            value = timed_call(task, items[i]) if timed else task(items[i])
+        except Exception as exc:  # noqa: BLE001 - routed by policy
+            _fail_item(i, items[i], 1, exc, policy, checkpoint, results)
+            continue
+        results[i] = value
+        if recorder.enabled:
+            recorder.count("pool.items_executed")
+        if checkpoint is not None:
+            checkpoint.record(i, items[i], value)
 
 
 def _fail_item(
@@ -368,14 +329,13 @@ def _fail_item(
     policy: ExecutionPolicy,
     checkpoint: Optional[CheckpointBatch],
     results: List[Any],
-    raise_original: bool = False,
 ) -> None:
-    """Terminal handling of an item that exhausted its budget.
+    """Terminal handling of a failed item.
 
     Quarantine leaves a :class:`Quarantined` null row (journaled with
-    its reason) and warns; otherwise the failure propagates -- as the
-    original exception for unretried task errors (back-compat), or as
-    a structured :class:`ItemFailed` chained to the last fault.
+    its reason) and warns; otherwise the failure propagates -- a task's
+    own exception unchanged, a pool fault that exhausted the attempt
+    budget as a structured :class:`ItemFailed` chained to it.
     """
     reason = f"{type(fault).__name__}: {fault}"
     if policy.quarantine:
@@ -396,18 +356,14 @@ def _fail_item(
             stacklevel=4,
         )
         return
-    if raise_original and not isinstance(fault, PoolFault):
+    if not isinstance(fault, PoolFault):
         raise fault
     failure = ItemFailed(
         f"item {index} failed after {attempts} attempt(s): {reason}",
         index=index,
         seed=seed_of(item),
         attempt=attempts,
-        traceback_text=(
-            fault.traceback_text
-            if isinstance(fault, PoolFault)
-            else _format_traceback(fault)
-        ),
+        traceback_text=fault.traceback_text,
     )
     raise failure from fault
 
@@ -446,7 +402,6 @@ def _pool_run(
     actually implicated), and respawn; repeated barren respawns degrade
     to the serial path.
     """
-    retry = policy.retry
     recorder = observe.active()
     observed = recorder.enabled
     queue = deque(pending)
@@ -488,7 +443,7 @@ def _pool_run(
             elif isinstance(fault, WorkerCrash):
                 recorder.count("pool.worker_crashes")
         attempts[index] += 1
-        if attempts[index] < retry.max_attempts:
+        if attempts[index] < policy.max_attempts:
             if observed:
                 recorder.count("pool.retries")
             queue.append(index)
@@ -555,18 +510,6 @@ def _pool_run(
                 retire(i, fault)
                 continue
             except Exception as exc:  # noqa: BLE001 - task-level error
-                if retry.retry_task_errors:
-                    fault = ItemFailed(
-                        f"task error on item {i}: {exc}",
-                        index=i,
-                        seed=seed_of(items[i]),
-                        attempt=attempts[i] + 1,
-                        traceback_text=_format_traceback(exc),
-                    )
-                    fault.__cause__ = exc
-                    if retire(i, fault):
-                        time.sleep(retry.delay(i, attempts[i]))
-                        continue
                 if policy.quarantine:
                     attempts[i] += 1
                     _fail_item(i, items[i], attempts[i], exc,
@@ -605,7 +548,7 @@ def _pool_run(
             pool = None
             if completed_since_spawn == 0:
                 barren_spawns += 1
-                if barren_spawns >= retry.max_attempts:
+                if barren_spawns >= policy.max_attempts:
                     fallback_serial(
                         f"process pool broke {barren_spawns} times "
                         "without completing any item", crash,
@@ -613,7 +556,7 @@ def _pool_run(
                     return
             else:
                 barren_spawns = 0
-            time.sleep(retry.delay(min(attempts, default=0), barren_spawns + 1))
+            time.sleep(retry_delay(barren_spawns + 1))
             continue
 
         if policy.timeout is not None and in_flight:
@@ -649,7 +592,7 @@ def _pool_run(
                         attempt=attempts[i] + 1,
                     )
                     if retire(i, fault):
-                        delay = max(delay, retry.delay(i, attempts[i]))
+                        delay = max(delay, retry_delay(attempts[i]))
                 time.sleep(delay)
 
     merge_fragments()

@@ -6,7 +6,7 @@ flat-buffer kernel rewrite: per-net coarse pin sets via ``sorted(set)``,
 parallel-net dedup through a ``Dict[Tuple[int, ...], int]``, and a full
 validating :class:`Hypergraph` construction for the coarse graph.
 
-It exists for the same two reasons as :mod:`repro.partition.fm_reference`:
+It exists for two reasons:
 
 * **Differential testing.**  The kernel promises *bit-identical* coarse
   graphs: same net order, same sorted pin lists, same summed weights and

@@ -7,7 +7,7 @@ driver that shipped before the flat-array kernel rewrite: per-vertex
 ``Dict[int, float]`` score maps, pin access through the allocating
 ``Hypergraph.vertex_nets`` / ``Hypergraph.net_pins`` accessors, and the
 reference contraction from
-:mod:`repro.hypergraph.contraction_reference`.
+:mod:`tests.oracles.contraction_reference`.
 
 They exist for two reasons:
 
@@ -28,10 +28,10 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.hypergraph.contraction_reference import contract
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.matching import CoarseLevel
 from repro.partition.solution import FREE, validate_fixture
+from tests.oracles.contraction_reference import contract
 
 
 def _compatible(f_a: int, f_b: int) -> bool:

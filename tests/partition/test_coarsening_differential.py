@@ -2,8 +2,8 @@
 
 The kernel matchers (:mod:`repro.partition.matching`) and contraction
 (:mod:`repro.hypergraph.contraction`) promise *bit-identical* behaviour
-to the retained references in :mod:`repro.partition.matching_reference`
-and :mod:`repro.hypergraph.contraction_reference`: the same cluster
+to the retained references in :mod:`tests.oracles.matching_reference`
+and :mod:`tests.oracles.contraction_reference`: the same cluster
 labels for every seed, fixture, area cap and net-size cutoff (same rng
 consumption, same float score accumulation order, same tie-breaks), and
 the same coarse hypergraph down to the CSR buffers (same net order,
@@ -19,14 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hypergraph import Hypergraph, contract, contraction_reference
+from repro.hypergraph import Hypergraph, contract
 from repro.partition import (
     FREE,
     coarsen,
     heavy_edge_matching,
-    matching_reference,
     random_matching,
 )
+from tests.oracles import contraction_reference, matching_reference
 
 FIXED_FRACTIONS = (0.0, 0.2, 0.5)
 

@@ -151,8 +151,6 @@ class TestCostFM:
         engine = ReferenceFMBipartitioner(g, balance, model=model)
         with pytest.raises(ValueError):
             engine.run([0])
-        with pytest.raises(ValueError):
-            FMConfig(max_passes=0)
 
     def test_rejects_adaptive_stop(self):
         # The readable engine makes exhaustive passes; asking it for the

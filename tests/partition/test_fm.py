@@ -13,7 +13,6 @@ from repro.hypergraph import (
     Hypergraph,
     chain_hypergraph,
     generate_circuit,
-    grid_hypergraph,
     CircuitSpec,
 )
 from repro.partition import (
@@ -269,19 +268,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FMConfig(policy="dfs")
 
-    def test_zero_max_passes(self):
-        with pytest.raises(ValueError):
-            FMConfig(max_passes=0)
-
-    def test_max_passes_respected(self):
-        g = grid_hypergraph(4, 4)
-        balance = relative_bipartition_balance(g.total_area, 0.25)
-        engine = FMBipartitioner(
-            g, balance, config=FMConfig(max_passes=1)
-        )
-        result = engine.run([v % 2 for v in range(16)])
-        assert result.num_passes == 1
-
     def test_kway_balance_rejected(self):
         g = chain_hypergraph(4)
         bad = BalanceConstraint(min_loads=[0, 0, 0], max_loads=[4, 4, 4])
@@ -310,7 +296,7 @@ class TestGainCorrectness:
             [[0, 1], [0, 2], [0, 3], [0, 4]], num_vertices=5
         )
         balance = BalanceConstraint(min_loads=[0, 0], max_loads=[5, 5])
-        engine = FMBipartitioner(g, balance, config=FMConfig(max_passes=1))
+        engine = FMBipartitioner(g, balance)
         result = engine.run([0, 1, 1, 1, 1])
         # Moving 0 to side 1 removes all 4 cut nets.
         assert result.solution.cut == 0

@@ -1,5 +1,6 @@
 """Unit tests for the multilevel partitioner."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from repro.hypergraph import (
     generate_circuit,
     grid_hypergraph,
 )
+from repro.core.regimes import make_schedule, rand_fixture
+from repro.experiments.circuits import load_instance
 from repro.partition import (
     FREE,
     FMBipartitioner,
@@ -144,8 +147,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             MultilevelConfig(matching="best")
         with pytest.raises(ValueError):
-            MultilevelConfig(clustering_ratio=1.5)
-        with pytest.raises(ValueError):
             MultilevelConfig(coarsest_size=1)
         with pytest.raises(ValueError):
             MultilevelConfig(initial_starts=0)
@@ -199,3 +200,52 @@ class TestConfig:
         best = min(engine.run(seed=s).solution.cut for s in range(3))
         # The planted inter-cluster bridges bound a good bisection.
         assert best <= 8
+
+
+# (config, fixed) -> (sha256 prefix of the parts, cut, levels, passes) of
+# MultilevelBipartitioner(tiny01).run(seed=7), recorded before the
+# clustering ratio, cluster-area cap, level cap, refinement policy and
+# pass cutoff became constants; the fixed runs fix 20% of the vertices
+# into random sides.
+GOLDEN_CONFIGS = {
+    "default": {},
+    "placer": {"coarsest_size": 60, "initial_starts": 2},
+    "vcycle": {"vcycles": 1},
+    "random": {"matching": "random"},
+    "exhaustive": {"adaptive_stop": False},
+}
+GOLDEN_FINGERPRINTS = {
+    ("default", False): ("e2bc036f939ef1fe", 68, 2, 27),
+    ("default", True): ("95c5db3442f10f9e", 127, 2, 23),
+    ("placer", False): ("f63be69d02243ff0", 76, 4, 15),
+    ("placer", True): ("95c5db3442f10f9e", 127, 2, 16),
+    ("vcycle", False): ("e2bc036f939ef1fe", 68, 2, 30),
+    ("vcycle", True): ("6076f6dcb9e622f8", 120, 2, 32),
+    ("random", False): ("ef0ebf8fa63a90c6", 73, 2, 29),
+    ("random", True): ("9768a0ae1c82b652", 134, 2, 31),
+    ("exhaustive", False): ("e2bc036f939ef1fe", 68, 2, 27),
+    ("exhaustive", True): ("95c5db3442f10f9e", 127, 2, 23),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FINGERPRINTS))
+def test_golden_fingerprints(case):
+    name, fixed = case
+    circuit, balance = load_instance("tiny01")
+    g = circuit.graph
+    fixture = None
+    if fixed:
+        fixture = rand_fixture(make_schedule(g, seed=3), 20, seed=3)
+    result = MultilevelBipartitioner(
+        g,
+        balance,
+        fixture=fixture,
+        config=MultilevelConfig(**GOLDEN_CONFIGS[name]),
+    ).run(seed=7)
+    parts_hash = hashlib.sha256(bytes(result.solution.parts)).hexdigest()
+    assert (
+        parts_hash[:16],
+        result.solution.cut,
+        result.num_levels,
+        result.refinement_passes,
+    ) == GOLDEN_FINGERPRINTS[case]

@@ -15,7 +15,6 @@ from repro.runtime import (
     FaultPlan,
     Quarantined,
     QuarantineWarning,
-    RetryPolicy,
     parallel_map,
 )
 from repro.runtime import observe
@@ -23,9 +22,6 @@ from repro.runtime.faults import FAULTS_ENV, STATE_ENV
 from repro.runtime.observe import TraceRecorder
 from repro.runtime.observe.recorder import use
 from repro.runtime.observe.trace import trace_shape
-
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.01, backoff_max=0.05)
-
 
 def _traced_square(x):
     """Module-level task (picklable) that records its own execution."""
@@ -83,7 +79,7 @@ class TestExactlyOnceUnderFaults:
                 _traced_square,
                 [0, 1, 2, 3],
                 jobs=2,
-                policy=ExecutionPolicy(retry=FAST_RETRY),
+                policy=ExecutionPolicy(max_attempts=3),
                 faults=plan,
             )
         assert out == [0, 1, 4, 9]
@@ -108,7 +104,7 @@ class TestExactlyOnceUnderFaults:
                 _traced_square,
                 [0, 1, 2],
                 jobs=2,
-                policy=ExecutionPolicy(retry=FAST_RETRY),
+                policy=ExecutionPolicy(max_attempts=3),
             )
         assert out == [0, 1, 4]
         assert rec.counters["test.task_calls"] == 3
@@ -118,7 +114,7 @@ class TestExactlyOnceUnderFaults:
         # The injected raise fires before the task body on every
         # attempt, so the quarantined item contributes no task counts.
         plan = FaultPlan(raise_on=(2,))
-        policy = ExecutionPolicy(retry=FAST_RETRY, quarantine=True)
+        policy = ExecutionPolicy(max_attempts=3, quarantine=True)
         rec = TraceRecorder()
         with use(rec), pytest.warns(QuarantineWarning):
             out = parallel_map(

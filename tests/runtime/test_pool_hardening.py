@@ -9,18 +9,16 @@ import pytest
 from repro.runtime import (
     ExecutionPolicy,
     FaultPlan,
-    InjectedFault,
     ItemFailed,
     Quarantined,
     QuarantineWarning,
-    RetryPolicy,
     SerialFallbackWarning,
     jobs_from_env,
     parallel_map,
     parse_jobs,
     resolve_jobs,
 )
-from repro.runtime.pool import JOBS_ENV
+from repro.runtime.pool import JOBS_ENV, retry_delay
 
 
 def _square(x):
@@ -31,26 +29,14 @@ def _reciprocal(x):
     return 1 / x
 
 
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.01, backoff_max=0.05)
-
-
 class TestRetryPolicy:
-    def test_delay_is_deterministic(self):
-        retry = RetryPolicy(jitter_seed=9)
-        assert retry.delay(3, 2) == retry.delay(3, 2)
-        assert RetryPolicy(jitter_seed=9).delay(3, 2) == retry.delay(3, 2)
+    """The fixed backoff between attempts of an ExecutionPolicy."""
 
     def test_delay_grows_and_caps(self):
-        retry = RetryPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3, jitter=0.0
-        )
-        assert retry.delay(0, 1) == pytest.approx(0.1)
-        assert retry.delay(0, 2) == pytest.approx(0.2)
-        assert retry.delay(0, 5) == pytest.approx(0.3)
-
-    def test_jitter_varies_by_index_and_attempt(self):
-        retry = RetryPolicy(jitter=0.5)
-        assert retry.delay(0, 1) != retry.delay(1, 1)
+        # 0.05 s doubling per failed attempt, capped at 2 s.
+        assert [retry_delay(a) for a in range(1, 8)] == [
+            0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0
+        ]
 
 
 class TestCrashRecovery:
@@ -62,7 +48,7 @@ class TestCrashRecovery:
             _square,
             [0, 1, 2, 3],
             jobs=2,
-            policy=ExecutionPolicy(retry=FAST_RETRY),
+            policy=ExecutionPolicy(max_attempts=3),
             faults=plan,
         )
         assert out == [0, 1, 4, 9]
@@ -71,12 +57,7 @@ class TestCrashRecovery:
         # No state dir: item 0 kills its worker on every attempt and
         # must end as a Quarantined null row naming the crash.
         plan = FaultPlan(crash_on=(0,))
-        policy = ExecutionPolicy(
-            retry=RetryPolicy(
-                max_attempts=2, backoff_base=0.01, backoff_max=0.02
-            ),
-            quarantine=True,
-        )
+        policy = ExecutionPolicy(max_attempts=2, quarantine=True)
         with pytest.warns(QuarantineWarning, match="item 0"):
             out = parallel_map(
                 _square, [0, 1, 2, 3], jobs=2, policy=policy, faults=plan
@@ -96,7 +77,7 @@ class TestTimeouts:
         # Item 1 sleeps past its budget once; the retry (marker armed)
         # runs clean and the map completes.
         plan = FaultPlan(sleep_on={1: 5.0}, state_dir=str(tmp_path))
-        policy = ExecutionPolicy(timeout=0.75, retry=FAST_RETRY)
+        policy = ExecutionPolicy(timeout=0.75, max_attempts=3)
         out = parallel_map(
             _square, [0, 1, 2], jobs=2, policy=policy, faults=plan
         )
@@ -106,9 +87,7 @@ class TestTimeouts:
         # max_attempts=1: the first expiry is terminal and must surface
         # the structured taxonomy (index, seed, attempt).
         plan = FaultPlan(sleep_on={1: 5.0})
-        policy = ExecutionPolicy(
-            timeout=0.5, retry=RetryPolicy(max_attempts=1)
-        )
+        policy = ExecutionPolicy(timeout=0.5, max_attempts=1)
         with pytest.raises(ItemFailed) as info:
             parallel_map(
                 _square, [0, 1], jobs=2, policy=policy, faults=plan
@@ -123,7 +102,7 @@ class TestTimeouts:
 class TestQuarantine:
     def test_task_error_quarantines_with_reason(self):
         plan = FaultPlan(raise_on=(2,))
-        policy = ExecutionPolicy(retry=FAST_RETRY, quarantine=True)
+        policy = ExecutionPolicy(max_attempts=3, quarantine=True)
         with pytest.warns(QuarantineWarning):
             out = parallel_map(
                 _square, [0, 1, 2, 3], jobs=2, policy=policy, faults=plan
@@ -134,7 +113,7 @@ class TestQuarantine:
 
     def test_serial_path_quarantines_too(self):
         plan = FaultPlan(raise_on=(1,))
-        policy = ExecutionPolicy(retry=FAST_RETRY, quarantine=True)
+        policy = ExecutionPolicy(max_attempts=3, quarantine=True)
         with pytest.warns(QuarantineWarning):
             out = parallel_map(
                 _square, [0, 1], jobs=1, policy=policy, faults=plan
@@ -145,43 +124,12 @@ class TestQuarantine:
 
 class TestTaskErrors:
     def test_exception_propagates_unchanged_without_retry(self):
-        # Back-compat: a plain task error is the caller's exception, not
-        # a wrapped ItemFailed, when no retry/quarantine was asked for.
+        # A task error is the caller's exception, not a wrapped
+        # ItemFailed, when no quarantine was asked for.
         with pytest.raises(ZeroDivisionError):
             parallel_map(_reciprocal, [1, 0], jobs=2)
         with pytest.raises(ZeroDivisionError):
             parallel_map(_reciprocal, [1, 0], jobs=1)
-
-    def test_retry_task_errors_recovers_injected_flakiness(self, tmp_path):
-        plan = FaultPlan(raise_on=(0,), state_dir=str(tmp_path))
-        policy = ExecutionPolicy(
-            retry=RetryPolicy(
-                max_attempts=3,
-                backoff_base=0.01,
-                backoff_max=0.02,
-                retry_task_errors=True,
-            )
-        )
-        out = parallel_map(
-            _square, [0, 1], jobs=1, policy=policy, faults=plan
-        )
-        assert out == [0, 1]
-
-    def test_serial_retry_exhaustion_raises_item_failed(self):
-        plan = FaultPlan(raise_on=(0,))  # fires every attempt
-        policy = ExecutionPolicy(
-            retry=RetryPolicy(
-                max_attempts=2,
-                backoff_base=0.01,
-                backoff_max=0.02,
-                retry_task_errors=True,
-            )
-        )
-        with pytest.raises(ItemFailed) as info:
-            parallel_map(_square, [0], jobs=1, policy=policy, faults=plan)
-        assert info.value.attempt == 2
-        assert isinstance(info.value.__cause__, InjectedFault)
-        assert "InjectedFault" in (info.value.traceback_text or "")
 
 
 class TestSerialFallback:

@@ -342,7 +342,7 @@ class TestExperiment:
         else:
             timeout, attempts = expected
             assert policy.timeout == timeout
-            assert policy.retry.max_attempts == attempts
+            assert policy.max_attempts == attempts
             assert policy.quarantine
 
     def test_table4_ignores_resume(self, capsys, tmp_path, monkeypatch):
