@@ -348,8 +348,9 @@ def main(argv=None) -> int:
                 )
         # The paper's Section III pass cutoff: passes after the first
         # stop at a fraction of the movable vertices.  Short passes are
-        # where incremental pass state (O(moves undone) restore instead
-        # of an O(pins) rebuild) matters most.
+        # where incremental pass state matters most: the restore replays
+        # O(min(moves kept, moves undone)) moves instead of an O(pins)
+        # rebuild.
         entry = _bench_fm(
             graph, "clip", 0.2, num_starts, seed=42,
             move_limit_fraction=0.1,

@@ -212,8 +212,3 @@ def read_fix_file(
             )
     return values
 
-
-def roundtrip_check(graph: Hypergraph, path: PathLike) -> bool:
-    """Write + re-read + structural comparison (testing helper)."""
-    write_hgr(graph, path)
-    return read_hgr(path).structurally_equal(graph)

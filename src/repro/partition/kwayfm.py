@@ -18,10 +18,11 @@ The cut-nets objective (weight of nets spanning >= 2 blocks) matches
 Like the 2-way engine, the hot path is a flat-array kernel: the refiner
 owns a persistent ``array``-module pin-count buffer (``cnt[e * k + p]``)
 and a net-span buffer, derived once per :meth:`KWayFMRefiner.run` and
-kept exact across passes by replaying the rolled-back moves in reverse,
-plus one reusable :class:`GainBucket` reset per pass.  The move sequence
-is bit-identical to the straightforward engine retained in
-``tests/oracles/kwayfm_reference.py``.
+kept exact across passes by one replay loop -- the undone suffix
+backwards, or the kept prefix forwards from a pass-start snapshot,
+whichever is shorter -- plus one reusable :class:`GainBucket` reset per
+pass.  The move sequence is bit-identical to the straightforward engine
+retained in ``tests/oracles/kwayfm_reference.py``.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ class KWayFMRefiner:
         self._spans = array("q", [0]) * num_nets
         self._bucket = GainBucket(n, self._max_gain)
         self._stored_target = [-1] * n
-        # Scratch arrays for the inlined best-move net classification
+        # Scratch arrays for _best_move's critical-net classification
         # (at most one entry per incident net of a single vertex).
         max_degree = max((len(vn) for vn in self._vnets), default=0)
         self._crit_base = [0] * max_degree
         self._crit_weight = [0] * max_degree
         # Pass-start snapshots for the cheaper-direction restore (see
-        # the 2-way kernel): when a pass keeps fewer moves than it
+        # the 2-way kernel): when a pass keeps no more moves than it
         # undoes, restoring these C-speed copies and replaying the kept
         # prefix forwards beats unwinding the undone suffix.
         self._snap_cnt = array("q", [0]) * (num_nets * k)
@@ -281,27 +282,28 @@ class KWayFMRefiner:
     ) -> Tuple[int, int]:
         """Best (gain, target) for vertex ``v`` among feasible targets.
 
-        Returns ``(gain, target)``; target is -1 when no target is
-        feasible under the balance gate.  Reads the persistent flat
-        ``cnt``/``spans`` buffers.
+        Returns ``(gain, target)``; target is -1 (and gain 0) when no
+        target is feasible under the balance gate.  Reads the persistent
+        flat ``cnt``/``spans`` buffers.
         """
         cnt = self._cnt
         spans = self._spans
+        eweight = self._eweight
+        crit_b = self._crit_base
+        crit_w = self._crit_weight
         k = self.num_parts
         s = parts[v]
         av = self._areas[v]
-        eweight = self._eweight
 
         # Classify v's nets once -- the per-target contribution of a net
         # depends on the target only for "critical" span-2 nets where v
         # is alone on its side (those gain +w iff the target already
-        # holds a pin).  Everything else is target-independent:
-        # span >= 3 nets stay cut no matter where v goes (0); span-1
-        # nets with other pins on side s become cut everywhere (-w);
-        # singleton nets never change (0).
+        # holds a pin); they go to the crit_b/crit_w scratch.  The rest
+        # is target-independent: span >= 3 nets stay cut no matter
+        # where v goes (0); span-1 nets with other pins on side s become
+        # cut everywhere (-w); singleton nets never change (0).
         base_gain = 0
-        crit_bases: List[int] = []
-        crit_weights: List[int] = []
+        nc = 0
         for e in self._vnets[v]:
             w = eweight[e]
             if not w:
@@ -309,8 +311,9 @@ class KWayFMRefiner:
             span = spans[e]
             if span == 2:
                 if cnt[e * k + s] == 1:
-                    crit_bases.append(e * k)
-                    crit_weights.append(w)
+                    crit_b[nc] = e * k
+                    crit_w[nc] = w
+                    nc += 1
             elif span == 1 and cnt[e * k + s] != 1:
                 base_gain -= w
 
@@ -318,10 +321,9 @@ class KWayFMRefiner:
         # escape-hatch slow path stays in _move_allowed.
         mnl = self.balance.min_loads
         mxl = self.balance.max_loads
-        new_src = loads[s] - av
-        src_ok = mnl[s] <= new_src <= mxl[s]
-        best_gain = None
-        best_target = -1
+        src_ok = mnl[s] <= loads[s] - av <= mxl[s]
+        gain = 0
+        target = -1
         best_load = 0.0
         for t in range(k):
             if t == s:
@@ -332,18 +334,15 @@ class KWayFMRefiner:
                 or self._move_allowed(loads, av, s, t)
             ):
                 continue
-            gain = base_gain
-            if crit_bases:
-                for base, w in zip(crit_bases, crit_weights):
-                    if cnt[base + t]:
-                        gain += w
-            if best_gain is None or gain > best_gain or (
-                gain == best_gain and lt < best_load
-            ):
-                best_gain = gain
-                best_target = t
+            g = base_gain
+            for i in range(nc):
+                if cnt[crit_b[i] + t]:
+                    g += crit_w[i]
+            if target < 0 or g > gain or (g == gain and lt < best_load):
+                gain = g
+                target = t
                 best_load = lt
-        return (best_gain if best_gain is not None else 0, best_target)
+        return gain, target
 
     def _move_allowed(
         self, loads: List[float], weight: float, source: int, target: int
@@ -369,12 +368,9 @@ class KWayFMRefiner:
         spans = self._spans
         vnets = self._vnets
         areas = self._areas
-        eweight = self._eweight
         mnl = self.balance.min_loads
         mxl = self.balance.max_loads
-        move_allowed = self._move_allowed
-        crit_b = self._crit_base
-        crit_w = self._crit_weight
+        best_move = self._best_move
         NIL = _NIL
 
         snap_cnt = self._snap_cnt
@@ -404,45 +400,7 @@ class KWayFMRefiner:
         order = list(self._movable)
         rng.shuffle(order)
         for v in order:
-            # ---- inlined _best_move (kept in sync with the method) --
-            s = parts[v]
-            av = areas[v]
-            base_gain = 0
-            nc = 0
-            for e in vnets[v]:
-                w = eweight[e]
-                if not w:
-                    continue
-                span = spans[e]
-                if span == 2:
-                    if cnt[e * k + s] == 1:
-                        crit_b[nc] = e * k
-                        crit_w[nc] = w
-                        nc += 1
-                elif span == 1 and cnt[e * k + s] != 1:
-                    base_gain -= w
-            new_src = loads[s] - av
-            src_ok = mnl[s] <= new_src <= mxl[s]
-            gain = 0
-            target = -1
-            best_load = 0.0
-            for t in range(k):
-                if t == s:
-                    continue
-                lt = loads[t]
-                if not (
-                    (src_ok and mnl[t] <= lt + av <= mxl[t])
-                    or move_allowed(loads, av, s, t)
-                ):
-                    continue
-                g = base_gain
-                for i in range(nc):
-                    if cnt[crit_b[i] + t]:
-                        g += crit_w[i]
-                if target < 0 or g > gain or (g == gain and lt < best_load):
-                    gain = g
-                    target = t
-                    best_load = lt
+            gain, target = best_move(v, parts, loads)
             if target >= 0:
                 # inlined bucket insert at the fresh gain
                 idx = gain + blimit
@@ -488,45 +446,7 @@ class KWayFMRefiner:
             elif nu == NIL:
                 while bh[bmaxi] == NIL:
                     bmaxi -= 1
-            # ---- inlined _best_move (kept in sync with the method) --
-            s = parts[v]
-            av = areas[v]
-            base_gain = 0
-            nc = 0
-            for e in vnets[v]:
-                w = eweight[e]
-                if not w:
-                    continue
-                span = spans[e]
-                if span == 2:
-                    if cnt[e * k + s] == 1:
-                        crit_b[nc] = e * k
-                        crit_w[nc] = w
-                        nc += 1
-                elif span == 1 and cnt[e * k + s] != 1:
-                    base_gain -= w
-            new_src = loads[s] - av
-            src_ok = mnl[s] <= new_src <= mxl[s]
-            gain = 0
-            target = -1
-            best_load = 0.0
-            for t in range(k):
-                if t == s:
-                    continue
-                lt = loads[t]
-                if not (
-                    (src_ok and mnl[t] <= lt + av <= mxl[t])
-                    or move_allowed(loads, av, s, t)
-                ):
-                    continue
-                g = base_gain
-                for i in range(nc):
-                    if cnt[crit_b[i] + t]:
-                        g += crit_w[i]
-                if target < 0 or g > gain or (g == gain and lt < best_load):
-                    gain = g
-                    target = t
-                    best_load = lt
+            gain, target = best_move(v, parts, loads)
             if target < 0:
                 continue  # no longer feasible; drop from this pass
             if gain != stored_gain or target != stored_target[v]:
@@ -550,6 +470,8 @@ class KWayFMRefiner:
                     stored_target[v] = target
                     continue
             # Apply the move.
+            s = parts[v]
+            av = areas[v]
             for e in vnets[v]:
                 base = e * k
                 c = cnt[base + s] - 1
@@ -596,51 +518,42 @@ class KWayFMRefiner:
         bucket._count = bcount
         bucket._max_index = bmaxi
 
-        # Restore the best prefix, cheaper direction first.  Each undo
-        # is itself a move, so replaying the undone suffix backwards
-        # restores cnt/spans exactly -- no rebuild next pass.  When the
-        # pass keeps fewer moves than it undoes, copying the pass-start
-        # snapshot back and replaying the kept prefix forwards is
-        # cheaper.  Loads are floats, so they are always unwound with
-        # the backward delta arithmetic the reference uses (float
-        # addition is not associative).
+        # Restore the best prefix.  Loads are floats, so they are always
+        # unwound backwards over the undone suffix with the delta
+        # arithmetic the reference uses (float addition is not
+        # associative).  Each undo is itself a move, so replaying moves
+        # restores cnt/spans exactly -- no rebuild next pass.  Replay
+        # either the undone suffix backwards from the end-of-pass
+        # state, or -- when the pass keeps no more moves than it undoes
+        # -- the kept prefix forwards from the copied-back pass-start
+        # snapshot.  Either way each replayed vertex sits on one end of
+        # its logged move and goes to the other.
+        undone = move_log[best_prefix:]
+        for v, s, t in reversed(undone):
+            av = areas[v]
+            loads[t] -= av
+            loads[s] += av
         if best_prefix <= len(move_log) - best_prefix:
-            for v, s, t in reversed(move_log[best_prefix:]):
-                av = areas[v]
-                loads[t] -= av
-                loads[s] += av
             cnt[:] = snap_cnt
             spans[:] = snap_spans
             parts[:] = snap_parts
-            for i in range(best_prefix):
-                v, s, t = move_log[i]
-                for e in vnets[v]:
-                    base = e * k
-                    c = cnt[base + s] - 1
-                    cnt[base + s] = c
-                    if c == 0:
-                        spans[e] -= 1
-                    ct = cnt[base + t]
-                    if ct == 0:
-                        spans[e] += 1
-                    cnt[base + t] = ct + 1
-                parts[v] = t
+            replay = move_log[:best_prefix]
         else:
-            for v, s, t in reversed(move_log[best_prefix:]):
-                for e in vnets[v]:
-                    base = e * k
-                    c = cnt[base + t] - 1
-                    cnt[base + t] = c
-                    if c == 0:
-                        spans[e] -= 1
-                    cs = cnt[base + s]
-                    if cs == 0:
-                        spans[e] += 1
-                    cnt[base + s] = cs + 1
-                parts[v] = s
-                av = areas[v]
-                loads[t] -= av
-                loads[s] += av
+            replay = undone[::-1]
+        for v, s, t in replay:
+            src = parts[v]
+            dst = t if src == s else s
+            for e in vnets[v]:
+                base = e * k
+                c = cnt[base + src] - 1
+                cnt[base + src] = c
+                if c == 0:
+                    spans[e] -= 1
+                cd = cnt[base + dst]
+                if cd == 0:
+                    spans[e] += 1
+                cnt[base + dst] = cd + 1
+            parts[v] = dst
         return best_cut, len(move_log), move_log
 
 

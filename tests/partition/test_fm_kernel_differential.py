@@ -9,7 +9,9 @@ fixture.  The readable 2-way engine must agree whether its area window
 is given as a scalar or a one-resource vector balance, and whether its
 objective is the implicit min-cut or the explicit min-cut cost model.
 These tests drive both sides over random instances and compare the full
-fingerprints.
+fingerprints.  The state tests check the other half of the kernel
+contract: after every run, the incrementally maintained buffers equal a
+from-scratch derivation from the returned parts.
 """
 
 import random
@@ -206,3 +208,132 @@ def test_kway_kernel_matches_reference(fraction, instance):
     assert _kway_fingerprint(
         reference.run(list(parts), seed=pass_seed)
     ) == _kway_fingerprint(kernel.run(list(parts), seed=pass_seed))
+
+
+def _derived_2way_state(graph, parts, movable):
+    """Per-side pin counts, per-side pin-id sums and movable-vertex
+    gains of ``parts``, recomputed with plain loops over the nets."""
+    num_nets = graph.num_nets
+    cnt = ([0] * num_nets, [0] * num_nets)
+    ids = ([0] * num_nets, [0] * num_nets)
+    for e in range(num_nets):
+        for v in graph.net_pins(e):
+            cnt[parts[v]][e] += 1
+            ids[parts[v]][e] += v
+    gain = {v: 0 for v in movable}
+    for e in range(num_nets):
+        w = graph.net_weights[e]
+        for v in graph.net_pins(e):
+            if v in gain:
+                s = parts[v]
+                if cnt[s][e] == 1:
+                    gain[v] += w
+                if cnt[1 - s][e] == 0:
+                    gain[v] -= w
+    return cnt, ids, gain
+
+
+def _assert_2way_state_exact(kernel, graph, parts):
+    movable = [v for v, f in enumerate(kernel.fixture) if f == FREE]
+    cnt, ids, gain = _derived_2way_state(graph, parts, movable)
+    assert list(kernel._cnt0) == cnt[0]
+    assert list(kernel._cnt1) == cnt[1]
+    assert list(kernel._ids0) == ids[0]
+    assert list(kernel._ids1) == ids[1]
+    assert {v: kernel._gain[v] for v in movable} == gain
+
+
+@pytest.mark.parametrize("policy", ["lifo", "fifo", "clip"])
+@pytest.mark.parametrize("fraction", FIXED_FRACTIONS)
+@given(first=kernel_instances(), second=kernel_instances())
+@settings(max_examples=10, deadline=None)
+def test_fm_kernel_state_matches_derivation(policy, fraction, first, second):
+    """After every run -- including runs after ``rebind()`` to another
+    graph and back -- the kernel's cnt/ids/gain buffers equal a
+    from-scratch derivation from the returned parts, under both pass
+    cutoffs and with adaptive stopping on and off."""
+    graph, seed = first
+    other, other_seed = second
+    rng = random.Random(seed)
+    fixture = _random_fixture(graph, fraction, 2, rng)
+    other_fixture = _random_fixture(
+        other, fraction, 2, random.Random(other_seed)
+    )
+    balance = relative_bipartition_balance(graph.total_area, 0.3)
+    for cutoff in (1.0, 0.5):
+        for adaptive in (False, True):
+            config = FMConfig(
+                policy=policy,
+                pass_move_limit_fraction=cutoff,
+                adaptive_stop=adaptive,
+            )
+            kernel = FMBipartitioner(
+                graph, balance, fixture=fixture, config=config
+            )
+            for g, fix in (
+                (graph, fixture),
+                (other, other_fixture),
+                (graph, fixture),
+            ):
+                kernel.rebind(g, fix)
+                parts = [rng.randint(0, 1) for _ in range(g.num_vertices)]
+                result = kernel.run(parts)
+                _assert_2way_state_exact(
+                    kernel, g, result.solution.parts
+                )
+
+
+@pytest.mark.parametrize(
+    "nets, parts, keeps_more",
+    [
+        # Pass 0 makes 5 moves and keeps 3: the restore unwinds the
+        # 2-move undone suffix backwards.
+        ([[0, 1, 3], [0, 5], [1, 3], [1, 5]], [1, 1, 1, 1, 1, 0], True),
+        # Pass 0 makes 5 moves and keeps 2: the restore copies the
+        # pass-start snapshot back and replays the kept prefix.
+        ([[0, 1, 4], [0, 2], [1, 4], [2, 5]], [1, 1, 1, 1, 1, 0], False),
+    ],
+)
+def test_fm_kernel_state_exact_in_both_restore_directions(
+    nets, parts, keeps_more
+):
+    """Both restore directions leave the buffers exact and match the
+    reference engine."""
+    graph = Hypergraph(nets, num_vertices=6)
+    balance = relative_bipartition_balance(graph.total_area, 0.5)
+    config = FMConfig(record_moves=True)
+    kernel = FMBipartitioner(graph, balance, config=config)
+    result = kernel.run(list(parts))
+    first = result.passes[0]
+    assert 0 < first.best_prefix < first.moves_made
+    assert (first.best_prefix > first.wasted_moves) == keeps_more
+    _assert_2way_state_exact(kernel, graph, result.solution.parts)
+    reference = ReferenceFMBipartitioner(graph, balance, config=config)
+    assert _fm_fingerprint(reference.run(list(parts))) == _fm_fingerprint(
+        result
+    )
+
+
+@pytest.mark.parametrize("fraction", FIXED_FRACTIONS)
+@given(instance=kernel_instances())
+@settings(max_examples=20, deadline=None)
+def test_kway_kernel_state_matches_derivation(fraction, instance):
+    """After every run of a reused k-way refiner, its flat pin-count
+    and span buffers equal a from-scratch derivation."""
+    graph, seed = instance
+    rng = random.Random(seed)
+    k = rng.choice([2, 3, 4])
+    fixture = _random_fixture(graph, fraction, k, rng)
+    balance = relative_balance(graph.total_area, k, rng.choice([0.2, 0.5]))
+    kernel = KWayFMRefiner(graph, balance, fixture=fixture)
+    for _ in range(3):
+        parts = [rng.randrange(k) for _ in range(graph.num_vertices)]
+        result = kernel.run(parts, seed=rng.getrandbits(32))
+        cnt = [0] * (graph.num_nets * k)
+        spans = [0] * graph.num_nets
+        for e in range(graph.num_nets):
+            for v in graph.net_pins(e):
+                cnt[e * k + result.parts[v]] += 1
+            spans[e] = sum(1 for p in range(k) if cnt[e * k + p])
+        assert list(kernel._cnt) == cnt
+        assert list(kernel._spans) == spans
