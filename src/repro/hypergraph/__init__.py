@@ -1,7 +1,7 @@
 """Hypergraph substrate: data structure, builders, statistics, generators."""
 
 from repro.hypergraph.builder import HypergraphBuilder
-from repro.hypergraph.contraction import Contraction, contract, normalize_clusters
+from repro.hypergraph.contraction import Contraction, contract
 from repro.hypergraph.generators import (
     CircuitSpec,
     SyntheticCircuit,
@@ -41,7 +41,6 @@ __all__ = [
     "external_nets",
     "generate_circuit",
     "grid_hypergraph",
-    "normalize_clusters",
     "pins_per_cell",
     "random_k_uniform",
     "rent_exponent_estimate",

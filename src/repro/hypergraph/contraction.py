@@ -261,25 +261,3 @@ def contract(
         rec.count("contract.pins_dropped", len(net_pins) - total_pins)
     return Contraction(coarse=coarse, fine_to_coarse=list(clusters))
 
-
-def normalize_clusters(raw: Sequence[Optional[int]]) -> List[int]:
-    """Compact an arbitrary labelling into contiguous cluster ids.
-
-    ``None`` entries become singleton clusters.  Useful for matching-based
-    coarseners that label only matched vertices.
-    """
-    remap: Dict[int, int] = {}
-    out: List[int] = []
-    next_id = 0
-    for label in raw:
-        if label is None:
-            out.append(next_id)
-            next_id += 1
-            continue
-        if label not in remap:
-            remap[label] = next_id
-            next_id += 1
-        out.append(remap[label])
-    # Labels shared between entries must still be shared after remapping,
-    # which the dict guarantees; contiguity holds by construction.
-    return out

@@ -83,7 +83,6 @@ class Hypergraph:
         "_extra_resources",
         "_total_area",
         "_csr_lists",
-        "_match_tables",
     )
 
     def __init__(
@@ -196,10 +195,6 @@ class Hypergraph:
 
         self._total_area = sum(self._areas)
         self._csr_lists: Optional[Tuple[List, ...]] = None
-        # Derived per-net scoring tables, lazily built and cached by the
-        # matching kernels (multi-start drivers re-match the same graph
-        # once per start); see repro.partition.matching._net_tables.
-        self._match_tables: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     # Sizes
@@ -472,7 +467,6 @@ class Hypergraph:
             graph._extra_resources = None
         graph._total_area = sum(graph._areas)
         graph._csr_lists = None
-        graph._match_tables = None
         return graph
 
     def __reduce__(self):

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.hypergraph import (
-    Hypergraph,
-    HypergraphError,
-    contract,
-    normalize_clusters,
-)
+from repro.hypergraph import Hypergraph, HypergraphError, contract
 
 
 class TestContract:
@@ -86,19 +81,3 @@ class TestContract:
         result = contract(Hypergraph([], num_vertices=0), [])
         assert result.coarse.num_vertices == 0
 
-
-class TestNormalizeClusters:
-    def test_none_becomes_singleton(self):
-        assert normalize_clusters([None, None]) == [0, 1]
-
-    def test_labels_compacted(self):
-        assert normalize_clusters([7, 7, 3]) == [0, 0, 1]
-
-    def test_mixed(self):
-        out = normalize_clusters([5, None, 5, None])
-        assert out[0] == out[2]
-        assert len(set(out)) == 3
-        assert sorted(set(out)) == [0, 1, 2]
-
-    def test_empty(self):
-        assert normalize_clusters([]) == []

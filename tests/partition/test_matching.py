@@ -11,6 +11,7 @@ from repro.partition import (
     heavy_edge_matching,
     random_matching,
 )
+from repro.partition.matching import MAX_NET_SIZE
 
 
 def cluster_sizes(labels):
@@ -72,11 +73,16 @@ class TestHeavyEdgeMatching:
         assert labels[0] == labels[1]
 
     def test_huge_nets_ignored(self, rng):
-        # A single net over everything gives no signal when above the
-        # size cap; all vertices stay singletons.
-        g = Hypergraph([list(range(10))], num_vertices=10)
-        labels = heavy_edge_matching(g, rng=rng, max_net_size=5)
-        assert max(labels) + 1 == 10
+        # Nets of up to MAX_NET_SIZE pins are scored: a single 64-pin net
+        # pairs every vertex up.  One pin more and the net carries no
+        # signal: every vertex stays a singleton.
+        assert MAX_NET_SIZE == 64
+        g = Hypergraph([list(range(64))], num_vertices=64)
+        labels = heavy_edge_matching(g, rng=rng)
+        assert max(labels) + 1 == 32
+        g = Hypergraph([list(range(65))], num_vertices=65)
+        labels = heavy_edge_matching(g, rng=rng)
+        assert max(labels) + 1 == 65
 
     def test_fixture_validated_against_num_parts(self, rng):
         # The multilevel driver partitions 2-way; a fixture block id
