@@ -408,16 +408,20 @@ class Hypergraph:
         """
         lists = self._csr_lists
         if lists is None:
-            lists = (
-                self._net_ptr.tolist(),
-                self._net_pins.tolist(),
-                self._vtx_ptr.tolist(),
-                self._vtx_nets.tolist(),
-                self._net_weights.tolist(),
-                self._areas.tolist(),
-            )
-            self._csr_lists = lists
+            lists = self._csr_lists = self.build_csr_lists()
         return lists
+
+    def build_csr_lists(self) -> Tuple[List, ...]:
+        """Fresh plain-list copies of the CSR buffers, in the order of
+        :meth:`csr_lists`, without touching its cache."""
+        return (
+            self._net_ptr.tolist(),
+            self._net_pins.tolist(),
+            self._vtx_ptr.tolist(),
+            self._vtx_nets.tolist(),
+            self._net_weights.tolist(),
+            self._areas.tolist(),
+        )
 
     @classmethod
     def from_buffers(cls, buffers: Dict[str, Any]) -> "Hypergraph":

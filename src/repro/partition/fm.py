@@ -26,10 +26,13 @@ Kernel layout
 -------------
 
 The inner loop is a flat-array kernel.  The engine owns persistent
-:mod:`array`-module typed buffers -- per-side net pin counts
-(``_cnt0/_cnt1``), per-side pin-id sums (``_ids0/_ids1``) and the
-per-vertex exact gains (``_gain``) -- plus one reusable
-:class:`GainBucket` per side.  The invariants:
+plain-list buffers -- per-side net pin counts (``_cnt0/_cnt1``),
+per-side pin-id sums (``_ids0/_ids1``) and the per-vertex exact gains
+(``_gain``) -- plus one reusable :class:`GainBucket` per side.  Lists,
+not :mod:`array` buffers: list subscripts return the stored int object
+and the interpreter specializes them, where every ``array`` access
+boxes or unboxes a fresh int (docs/performance.md, "Buffer layout").
+The invariants:
 
 * Between passes, ``cnt``/``ids`` and ``gain`` are exact with respect
   to ``parts``.  A pass mutates them move by move, and the end-of-pass
@@ -59,7 +62,6 @@ moves in the same order, same pass records, same cuts, bit for bit.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -193,13 +195,43 @@ class FMResult:
 _QualityKey = Tuple[int, float, float]
 
 
-def _resize_zq(arr: array, length: int) -> None:
-    """Resize a signed-64 array in place, zero-filling any growth."""
-    cur = len(arr)
-    if cur > length:
-        del arr[length:]
-    elif cur < length:
-        arr.extend(array("q", bytes(8 * (length - cur))))
+def _resize_zeroed(buf: List[int], length: int) -> None:
+    """Resize an int list in place, zero-filling any growth."""
+    del buf[length:]
+    buf.extend([0] * (length - len(buf)))
+
+
+def flatten_graph(graph: Hypergraph, fixture: Sequence[int]) -> tuple:
+    """The per-graph adjacency both FM engines bind to.
+
+    Returns ``(vnets, epins, eweight, areas, movable, max_gain,
+    escape_slack)``: per-vertex net lists, per-net pin lists, net
+    weights and vertex areas as plain lists, the free vertices, the
+    largest total net weight of a free vertex, and the escape slack
+    (the smallest positive free-vertex area).  The adjacency lists are
+    sliced from the graph's :meth:`Hypergraph.csr_lists` views when that
+    cache is already filled (coarse graphs come with it), and from fresh
+    copies otherwise.  The cache is deliberately left unfilled, since a
+    caller that keeps many graphs alive would otherwise keep their list
+    views alive too.
+    """
+    net_ptr, net_pins, vtx_ptr, vtx_nets, eweight, areas = (
+        graph._csr_lists or graph.build_csr_lists()
+    )
+    vnets = [vtx_nets[a:b] for a, b in zip(vtx_ptr, vtx_ptr[1:])]
+    epins = [net_pins[a:b] for a, b in zip(net_ptr, net_ptr[1:])]
+    movable = [v for v, f in enumerate(fixture) if f == FREE]
+    max_gain = max(
+        (sum(eweight[e] for e in vnets[v]) for v in movable), default=0
+    )
+    # Escape slack for balance windows narrower than one cell: the
+    # smallest positive movable area is the quantum by which loads can
+    # change, so transient violations up to it must be passable or FM
+    # deadlocks on tight tolerances (e.g. 2% of a tiny block).
+    escape_slack = min(
+        (areas[v] for v in movable if areas[v] > 0), default=0.0
+    )
+    return vnets, epins, eweight, areas, movable, max_gain, escape_slack
 
 
 def _record_fm_run(recorder, span, config: FMConfig, result: FMResult) -> None:
@@ -276,19 +308,20 @@ class FMBipartitioner:
         self.balance = balance
         self.config = config or FMConfig()
 
-        # Persistent typed buffers.  _bind sizes them to the bound graph;
-        # rebind() re-shapes them in place instead of reallocating, which
-        # is what makes one engine serve a whole multilevel hierarchy.
-        self._cnt0 = array("q")
-        self._cnt1 = array("q")
-        self._ids0 = array("q")
-        self._ids1 = array("q")
-        self._gain = array("q")
-        self._snap_cnt0 = array("q")
-        self._snap_cnt1 = array("q")
-        self._snap_ids0 = array("q")
-        self._snap_ids1 = array("q")
-        self._snap_gain = array("q")
+        # Persistent kernel buffers.  _bind sizes them to the bound
+        # graph; rebind() re-shapes them in place instead of
+        # reallocating, which is what makes one engine serve a whole
+        # multilevel hierarchy.
+        self._cnt0: List[int] = []
+        self._cnt1: List[int] = []
+        self._ids0: List[int] = []
+        self._ids1: List[int] = []
+        self._gain: List[int] = []
+        self._snap_cnt0: List[int] = []
+        self._snap_cnt1: List[int] = []
+        self._snap_ids0: List[int] = []
+        self._snap_ids1: List[int] = []
+        self._snap_gain: List[int] = []
         self._snap_parts: List[int] = []
         self._buckets: Optional[Tuple[GainBucket, GainBucket]] = None
 
@@ -303,7 +336,7 @@ class FMBipartitioner:
     ) -> "FMBipartitioner":
         """Re-target the engine at a new ``(graph, fixture)`` pair.
 
-        All graph-derived state is recomputed, but every typed buffer and
+        All graph-derived state is recomputed, but every kernel buffer and
         both gain buckets are resized in place rather than reallocated --
         the engine-pool fast path for multilevel drivers that refine a
         stack of similarly-shaped graphs.  Returns ``self``.
@@ -333,57 +366,36 @@ class FMBipartitioner:
 
         # Flatten adjacency into plain lists once; the inner loop must not
         # pay slice/reconstruction costs on every access.
-        self._vnets: List[List[int]] = [
-            list(graph.vertex_nets(v)) for v in range(n)
-        ]
-        self._epins: List[List[int]] = [
-            list(graph.net_pins(e)) for e in range(graph.num_nets)
-        ]
-        self._eweight: List[int] = list(graph.net_weights)
-        self._areas: List[float] = list(graph.areas)
-        self._movable: List[int] = [
-            v for v in range(n) if self.fixture[v] == FREE
-        ]
+        (
+            self._vnets,
+            self._epins,
+            self._eweight,
+            self._areas,
+            self._movable,
+            self._max_gain,
+            self._escape_slack,
+        ) = flatten_graph(graph, self.fixture)
         self._free_mask: List[bool] = [f == FREE for f in self.fixture]
-        self._max_gain = max(
-            (
-                sum(self._eweight[e] for e in self._vnets[v])
-                for v in self._movable
-            ),
-            default=0,
-        )
-        # Escape slack for balance windows narrower than one cell: the
-        # smallest positive movable area is the quantum by which loads
-        # can change, so transient violations up to it must be passable
-        # or FM deadlocks on tight tolerances (e.g. 2% of a tiny block).
-        self._escape_slack = min(
-            (
-                self._areas[v]
-                for v in self._movable
-                if self._areas[v] > 0
-            ),
-            default=0.0,
-        )
 
         # Kernel buffers, resized in place.  cnt/ids are fully rewritten
         # by _init_run_state and gain is set per movable vertex, so stale
         # tails from a previous binding are never read.
         num_nets = graph.num_nets
-        _resize_zq(self._cnt0, num_nets)
-        _resize_zq(self._cnt1, num_nets)
-        _resize_zq(self._ids0, num_nets)
-        _resize_zq(self._ids1, num_nets)
-        _resize_zq(self._gain, n)
+        _resize_zeroed(self._cnt0, num_nets)
+        _resize_zeroed(self._cnt1, num_nets)
+        _resize_zeroed(self._ids0, num_nets)
+        _resize_zeroed(self._ids1, num_nets)
+        _resize_zeroed(self._gain, n)
 
         # Pass-start snapshots for the cheaper-direction restore: when a
         # pass keeps no more moves than it undoes, copying the snapshot
         # back (C-speed slice copies) and replaying the kept prefix
         # beats replaying the undone suffix.
-        _resize_zq(self._snap_cnt0, num_nets)
-        _resize_zq(self._snap_cnt1, num_nets)
-        _resize_zq(self._snap_ids0, num_nets)
-        _resize_zq(self._snap_ids1, num_nets)
-        _resize_zq(self._snap_gain, n)
+        _resize_zeroed(self._snap_cnt0, num_nets)
+        _resize_zeroed(self._snap_cnt1, num_nets)
+        _resize_zeroed(self._snap_ids0, num_nets)
+        _resize_zeroed(self._snap_ids1, num_nets)
+        _resize_zeroed(self._snap_gain, n)
         if len(self._snap_parts) != n:
             self._snap_parts = [0] * n
 

@@ -15,8 +15,8 @@ the cut-nets objective) rather than only recursive bisection:
 The cut-nets objective (weight of nets spanning >= 2 blocks) matches
 :func:`repro.partition.solution.cut_size` for any k.
 
-Like the 2-way engine, the hot path is a flat-array kernel: the refiner
-owns a persistent ``array``-module pin-count buffer (``cnt[e * k + p]``)
+Like the 2-way engine, the hot path is a flat-array kernel on plain
+lists: the refiner owns a persistent pin-count buffer (``cnt[e * k + p]``)
 and a net-span buffer, derived once per :meth:`KWayFMRefiner.run` and
 kept exact across passes by one replay loop -- the undone suffix
 backwards, or the kept prefix forwards from a pass-start snapshot,
@@ -28,12 +28,12 @@ retained in ``tests/oracles/kwayfm_reference.py``.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
+from repro.partition.fm import flatten_graph
 from repro.partition.gainbucket import GainBucket
 from repro.partition.solution import FREE, cut_size, validate_fixture
 from repro.runtime.observe import recorder as _observe
@@ -100,32 +100,15 @@ class KWayFMRefiner:
         validate_fixture(fixture, n, self.num_parts)
         self.fixture = list(fixture)
 
-        self._vnets: List[List[int]] = [
-            list(graph.vertex_nets(v)) for v in range(n)
-        ]
-        self._epins: List[List[int]] = [
-            list(graph.net_pins(e)) for e in range(graph.num_nets)
-        ]
-        self._eweight: List[int] = list(graph.net_weights)
-        self._areas: List[float] = list(graph.areas)
-        self._movable: List[int] = [
-            v for v in range(n) if self.fixture[v] == FREE
-        ]
-        self._max_gain = max(
-            (
-                sum(self._eweight[e] for e in self._vnets[v])
-                for v in self._movable
-            ),
-            default=0,
-        )
-        self._escape_slack = min(
-            (
-                self._areas[v]
-                for v in self._movable
-                if self._areas[v] > 0
-            ),
-            default=0.0,
-        )
+        (
+            self._vnets,
+            self._epins,
+            self._eweight,
+            self._areas,
+            self._movable,
+            self._max_gain,
+            self._escape_slack,
+        ) = flatten_graph(graph, self.fixture)
 
         # Persistent kernel buffers: flat pin counts (cnt[e*k + p]) and
         # per-net block spans, kept exact across passes; plus a reusable
@@ -133,9 +116,9 @@ class KWayFMRefiner:
         # lazy-revalidation scheme.
         num_nets = graph.num_nets
         k = self.num_parts
-        self._zero_cnt = array("q", [0]) * (num_nets * k)
-        self._cnt = array("q", [0]) * (num_nets * k)
-        self._spans = array("q", [0]) * num_nets
+        self._zero_cnt = [0] * (num_nets * k)
+        self._cnt = [0] * (num_nets * k)
+        self._spans = [0] * num_nets
         self._bucket = GainBucket(n, self._max_gain)
         self._stored_target = [-1] * n
         # Scratch arrays for _best_move's critical-net classification
@@ -147,8 +130,8 @@ class KWayFMRefiner:
         # the 2-way kernel): when a pass keeps no more moves than it
         # undoes, restoring these C-speed copies and replaying the kept
         # prefix forwards beats unwinding the undone suffix.
-        self._snap_cnt = array("q", [0]) * (num_nets * k)
-        self._snap_spans = array("q", [0]) * num_nets
+        self._snap_cnt = [0] * (num_nets * k)
+        self._snap_spans = [0] * num_nets
         self._snap_parts: List[int] = [0] * n
 
     # ------------------------------------------------------------------
