@@ -21,14 +21,12 @@ from repro.core.pass_stats import (
     PassStatsRow,
     PassStatsStudy,
     run_pass_stats_study,
-    wasted_move_trend,
 )
 from repro.core.regimes import (
     PAPER_PERCENTS,
     REGIMES,
     FixedVertexSchedule,
     find_good_solution,
-    fixture_summary,
     good_fixture,
     make_schedule,
     pad_schedule,
@@ -49,7 +47,6 @@ from repro.core.rent import (
 from repro.core.terminal_clustering import (
     ClusteredInstance,
     cluster_terminals,
-    num_terminals_after_clustering,
 )
 
 __all__ = [
@@ -77,12 +74,10 @@ __all__ = [
     "expected_terminals",
     "find_good_solution",
     "fixed_fraction",
-    "fixture_summary",
     "format_study",
     "format_table_one",
     "good_fixture",
     "make_schedule",
-    "num_terminals_after_clustering",
     "pad_schedule",
     "rand_fixture",
     "regime_fixture",
@@ -90,5 +85,4 @@ __all__ = [
     "run_difficulty_study",
     "run_pass_stats_study",
     "table_one",
-    "wasted_move_trend",
 ]

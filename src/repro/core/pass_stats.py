@@ -265,9 +265,3 @@ def pass_stats_row(
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
-
-
-def wasted_move_trend(study: PassStatsStudy) -> List[Tuple[float, float]]:
-    """(percent, wasted%) series -- the paper's headline trend, which
-    should increase with the fixed percentage."""
-    return [(r.percent, r.avg_wasted_percent) for r in study.rows]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
@@ -183,12 +183,3 @@ def regime_fixture(
     if regime == "rand":
         return rand_fixture(schedule, percent, seed=seed)
     raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-
-
-def fixture_summary(fixture: Sequence[int]) -> Dict[int, int]:
-    """Count of fixed vertices per side (diagnostics and tests)."""
-    counts: Dict[int, int] = {}
-    for f in fixture:
-        if f != FREE:
-            counts[f] = counts.get(f, 0) + 1
-    return counts

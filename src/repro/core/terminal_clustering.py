@@ -92,8 +92,3 @@ def cluster_terminals(
         mapping=final_labels,
         contraction=contraction,
     )
-
-
-def num_terminals_after_clustering(fixture: Sequence[int]) -> int:
-    """Number of super-terminals the transform produces (<= num_parts)."""
-    return len({f for f in fixture if f != FREE})

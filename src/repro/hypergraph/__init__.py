@@ -11,17 +11,11 @@ from repro.hypergraph.generators import (
     grid_hypergraph,
     random_k_uniform,
 )
-from repro.hypergraph.hypergraph import (
-    Hypergraph,
-    HypergraphError,
-    vertex_induced_subhypergraph,
-)
+from repro.hypergraph.hypergraph import Hypergraph, HypergraphError
 from repro.hypergraph.stats import (
     HypergraphStats,
     compute_stats,
-    external_nets,
     pins_per_cell,
-    rent_exponent_estimate,
 )
 from repro.hypergraph.validate import ValidationReport, validate_hypergraph
 
@@ -38,12 +32,9 @@ __all__ = [
     "clustered_hypergraph",
     "compute_stats",
     "contract",
-    "external_nets",
     "generate_circuit",
     "grid_hypergraph",
     "pins_per_cell",
     "random_k_uniform",
-    "rent_exponent_estimate",
     "validate_hypergraph",
-    "vertex_induced_subhypergraph",
 ]

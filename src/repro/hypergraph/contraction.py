@@ -40,7 +40,11 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence
 
-from repro.hypergraph.hypergraph import Hypergraph, HypergraphError
+from repro.hypergraph.hypergraph import (
+    Hypergraph,
+    HypergraphError,
+    _transpose,
+)
 from repro.runtime.observe import recorder as _observe
 
 
@@ -211,21 +215,7 @@ def contract(
 
     # Transposed (vertex -> nets) CSR by the same counting sort the
     # validating Hypergraph constructor runs.
-    num_coarse_nets = len(coarse_weights)
-    total_pins = len(coarse_pins)
-    vtx_ptr = [0] * (k + 1)
-    for c in coarse_pins:
-        vtx_ptr[c + 1] += 1
-    for i in range(k):
-        vtx_ptr[i + 1] += vtx_ptr[i]
-    vtx_nets = [0] * total_pins
-    cursor = list(vtx_ptr)
-    lo = 0
-    for e, hi in enumerate(coarse_ptr[1:]):
-        for c in coarse_pins[lo:hi]:
-            vtx_nets[cursor[c]] = e
-            cursor[c] += 1
-        lo = hi
+    vtx_ptr, vtx_nets = _transpose(k, coarse_ptr, coarse_pins)
 
     coarse = Hypergraph.from_buffers(
         {
@@ -257,7 +247,11 @@ def contract(
     if rec.enabled:
         rec.count("contract.calls")
         rec.count("contract.vertices_removed", n - k)
-        rec.count("contract.nets_dropped", graph.num_nets - num_coarse_nets)
-        rec.count("contract.pins_dropped", len(net_pins) - total_pins)
+        rec.count(
+            "contract.nets_dropped", graph.num_nets - len(coarse_weights)
+        )
+        rec.count(
+            "contract.pins_dropped", len(net_pins) - len(coarse_pins)
+        )
     return Contraction(coarse=coarse, fine_to_coarse=list(clusters))
 

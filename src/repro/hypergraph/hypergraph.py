@@ -125,19 +125,7 @@ class Hypergraph:
                 net_pins[pos] = v
                 pos += 1
 
-        # Build the transposed (vertex -> nets) CSR by counting sort.
-        vtx_ptr = [0] * (num_vertices + 1)
-        for v in net_pins:
-            vtx_ptr[v + 1] += 1
-        for i in range(num_vertices):
-            vtx_ptr[i + 1] += vtx_ptr[i]
-        vtx_nets = [0] * total_pins
-        cursor = list(vtx_ptr)
-        for e in range(self._num_nets):
-            for k in range(net_ptr[e], net_ptr[e + 1]):
-                v = net_pins[k]
-                vtx_nets[cursor[v]] = e
-                cursor[v] += 1
+        vtx_ptr, vtx_nets = _transpose(num_vertices, net_ptr, net_pins)
 
         self._net_ptr = array(_INDEX_TYPECODE, net_ptr)
         self._net_pins = array(_INDEX_TYPECODE, net_pins)
@@ -477,41 +465,32 @@ class Hypergraph:
         return (Hypergraph.from_buffers, (self.to_buffers(),))
 
 
+def _transpose(
+    num_vertices: int, net_ptr: List[int], net_pins: List[int]
+) -> Tuple[List[int], List[int]]:
+    """The vertex -> nets CSR of a nets -> vertices CSR, by counting sort.
+
+    Each vertex lists its nets in ascending id order.  Returns
+    ``(vtx_ptr, vtx_nets)`` as plain lists.
+    """
+    vtx_ptr = [0] * (num_vertices + 1)
+    for v in net_pins:
+        vtx_ptr[v + 1] += 1
+    for i in range(num_vertices):
+        vtx_ptr[i + 1] += vtx_ptr[i]
+    vtx_nets = [0] * len(net_pins)
+    cursor = list(vtx_ptr)
+    lo = 0
+    for e, hi in enumerate(net_ptr[1:]):
+        for v in net_pins[lo:hi]:
+            vtx_nets[cursor[v]] = e
+            cursor[v] += 1
+        lo = hi
+    return vtx_ptr, vtx_nets
+
+
 def _as_array(typecode: str, values: Any) -> array:
     """Coerce ``values`` to an :class:`array.array` of ``typecode``."""
     if isinstance(values, array) and values.typecode == typecode:
         return values
     return array(typecode, values)
-
-
-def vertex_induced_subhypergraph(
-    graph: Hypergraph, vertices: Sequence[int]
-) -> Tuple[Hypergraph, List[int]]:
-    """Restrict ``graph`` to ``vertices``.
-
-    Nets are kept if they have at least two pins inside the subset (nets
-    with fewer pins cannot contribute to any cut).  Returns the
-    sub-hypergraph and the mapping from new vertex ids to original ids.
-    """
-    order = list(vertices)
-    index = {v: i for i, v in enumerate(order)}
-    if len(index) != len(order):
-        raise HypergraphError("duplicate vertices in subset")
-    new_nets: List[List[int]] = []
-    new_weights: List[int] = []
-    new_names: List[str] = []
-    for e in range(graph.num_nets):
-        pins = [index[v] for v in graph.net_pins(e) if v in index]
-        if len(pins) >= 2:
-            new_nets.append(pins)
-            new_weights.append(graph.net_weight(e))
-            new_names.append(graph.net_name(e))
-    sub = Hypergraph(
-        new_nets,
-        num_vertices=len(order),
-        areas=[graph.area(v) for v in order],
-        net_weights=new_weights,
-        vertex_names=[graph.vertex_name(v) for v in order],
-        net_names=new_names,
-    )
-    return sub, order

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -63,62 +63,6 @@ def compute_stats(graph: Hypergraph) -> HypergraphStats:
     )
 
 
-def external_nets(graph: Hypergraph, pad_vertices: Sequence[int]) -> int:
-    """Number of nets incident to at least one vertex in ``pad_vertices``.
-
-    In the paper's Table IV an "external net" is a net touching a pad; the
-    count approximates the number of propagated terminals of the block.
-    """
-    pads = set(pad_vertices)
-    count = 0
-    for e in range(graph.num_nets):
-        if any(v in pads for v in graph.net_pins(e)):
-            count += 1
-    return count
-
-
 def pins_per_cell(graph: Hypergraph) -> float:
     """Average pins per vertex -- the ``k`` of Rent's rule (paper: ~3.5)."""
     return graph.average_degree()
-
-
-def rent_exponent_estimate(
-    graph: Hypergraph,
-    samples: Sequence[Sequence[int]],
-) -> float:
-    """Estimate the Rent exponent from (block, terminal-count) samples.
-
-    ``samples`` is a list of vertex subsets ("blocks").  For each block we
-    count external nets (nets with pins both inside and outside) as the
-    terminal count ``T`` and fit ``log T = log k + p log C`` by least
-    squares.  Degenerate inputs (fewer than two distinct block sizes)
-    raise ``ValueError``.
-    """
-    import math
-
-    points = []
-    for block in samples:
-        inside = set(block)
-        if not inside:
-            continue
-        terminals = 0
-        for e in range(graph.num_nets):
-            pins = graph.net_pins(e)
-            has_in = any(v in inside for v in pins)
-            has_out = any(v not in inside for v in pins)
-            if has_in and has_out:
-                terminals += 1
-        if terminals > 0:
-            points.append((math.log(len(inside)), math.log(terminals)))
-    sizes = {x for x, _ in points}
-    if len(sizes) < 2:
-        raise ValueError(
-            "need samples of at least two distinct block sizes with "
-            "nonzero terminal counts"
-        )
-    n = len(points)
-    sx = sum(x for x, _ in points)
-    sy = sum(y for _, y in points)
-    sxx = sum(x * x for x, _ in points)
-    sxy = sum(x * y for x, y in points)
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)

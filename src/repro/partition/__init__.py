@@ -3,7 +3,6 @@
 from repro.partition.balance import (
     BalanceConstraint,
     MultiBalanceConstraint,
-    absolute_balance,
     relative_balance,
     relative_bipartition_balance,
 )
@@ -24,10 +23,8 @@ from repro.partition.initial import (
     greedy_bfs_bipartition,
     multi_resource_initial,
     random_balanced_bipartition,
-    random_side_assignment,
     terminal_seeded_bipartition,
 )
-from repro.partition.kway import KWayResult, recursive_bisection
 from repro.partition.kwayfm import (
     KWayFMConfig,
     KWayFMRefiner,
@@ -61,18 +58,10 @@ from repro.partition.solution import (
     FREE,
     Bipartition,
     NetCostModel,
-    apply_fixture,
     block_loads,
-    count_fixed,
-    cut_nets,
     cut_size,
-    free_fixture,
-    hamming_distance,
     min_cut_cost_model,
-    movable_vertices,
-    pins_per_block,
     respect_fixture,
-    symmetric_distance,
     total_cost,
     validate_fixture,
 )
@@ -114,7 +103,6 @@ __all__ = [
     "KWayFMConfig",
     "KWayFMRefiner",
     "KWayFMResult",
-    "KWayResult",
     "MultiBalanceConstraint",
     "MultilevelBipartitioner",
     "MultilevelConfig",
@@ -123,34 +111,24 @@ __all__ = [
     "PassRecord",
     "ReferenceFMBipartitioner",
     "StartOutcome",
-    "absolute_balance",
     "annealing_baseline",
-    "apply_fixture",
     "block_loads",
     "coarsen",
-    "count_fixed",
-    "cut_nets",
     "cut_size",
     "flat_fm_multistart",
-    "free_fixture",
     "greedy_baseline",
     "greedy_bfs_bipartition",
-    "hamming_distance",
     "heavy_edge_matching",
     "kway_balanced_construction",
     "kway_fm_partition",
     "kway_multistart",
     "min_cut_cost_model",
     "total_cost",
-    "movable_vertices",
     "multi_resource_initial",
     "multilevel_multistart",
-    "pins_per_block",
     "random_balanced_bipartition",
     "random_baseline",
     "random_matching",
-    "random_side_assignment",
-    "recursive_bisection",
     "relative_balance",
     "relative_bipartition_balance",
     "fiedler_vector",
@@ -159,7 +137,6 @@ __all__ = [
     "spectral_bipartition",
     "spectral_plus_fm",
     "sweep_cut",
-    "symmetric_distance",
     "terminal_seeded_bipartition",
     "validate_fixture",
 ]

@@ -128,17 +128,6 @@ def relative_balance(
     )
 
 
-def absolute_balance(
-    capacities: Sequence[float], slack: float = 0.0
-) -> BalanceConstraint:
-    """Absolute capacity semantics: block i holds at most
-    ``capacities[i] + slack`` and has no lower bound."""
-    return BalanceConstraint(
-        min_loads=[0.0] * len(capacities),
-        max_loads=[c + slack for c in capacities],
-    )
-
-
 @dataclass(frozen=True)
 class MultiBalanceConstraint:
     """One :class:`BalanceConstraint` per resource type.

@@ -147,28 +147,6 @@ def multi_resource_initial(
     return parts
 
 
-def random_side_assignment(
-    graph: Hypergraph,
-    fixture: Optional[Sequence[int]] = None,
-    rng: Optional[random.Random] = None,
-    num_parts: int = 2,
-) -> List[int]:
-    """Uniformly random assignment (no balance awareness).
-
-    Useful as a worst-case starting point in tests and as the "random
-    partitioning" baseline.
-    """
-    n = graph.num_vertices
-    if fixture is None:
-        fixture = [FREE] * n
-    validate_fixture(fixture, n, num_parts)
-    rng = rng or random.Random()
-    return [
-        f if f != FREE else rng.randrange(num_parts)
-        for f in fixture
-    ]
-
-
 def terminal_seeded_bipartition(
     graph: Hypergraph,
     balance: BalanceConstraint,

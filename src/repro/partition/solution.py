@@ -37,19 +37,6 @@ def cut_size(graph: Hypergraph, parts: Sequence[int]) -> int:
     return total
 
 
-def cut_nets(graph: Hypergraph, parts: Sequence[int]) -> List[int]:
-    """Ids of nets spanning more than one block."""
-    out = []
-    for e in range(graph.num_nets):
-        pins = graph.net_pins(e)
-        if not pins:
-            continue
-        first = parts[pins[0]]
-        if any(parts[v] != first for v in pins):
-            out.append(e)
-    return out
-
-
 def block_loads(
     graph: Hypergraph, parts: Sequence[int], num_parts: int
 ) -> List[float]:
@@ -58,30 +45,6 @@ def block_loads(
     for v in range(graph.num_vertices):
         loads[parts[v]] += graph.area(v)
     return loads
-
-
-def block_resource_loads(
-    graph: Hypergraph,
-    parts: Sequence[int],
-    num_parts: int,
-    resource: int,
-) -> List[float]:
-    """Total value of balance resource ``resource`` per block."""
-    vec = graph.resource_vector(resource)
-    loads = [0.0] * num_parts
-    for v in range(graph.num_vertices):
-        loads[parts[v]] += vec[v]
-    return loads
-
-
-def pins_per_block(
-    graph: Hypergraph, net: int, parts: Sequence[int], num_parts: int
-) -> List[int]:
-    """Pin count of ``net`` in each block -- the FM gain bookkeeping."""
-    counts = [0] * num_parts
-    for v in graph.net_pins(net):
-        counts[parts[v]] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -205,47 +168,3 @@ def validate_fixture(
                 f"vertex {v} fixed to invalid block {f} "
                 f"(num_parts={num_parts})"
             )
-
-
-def free_fixture(num_vertices: int) -> List[int]:
-    """A fixture vector with every vertex free."""
-    return [FREE] * num_vertices
-
-
-def count_fixed(fixture: Sequence[int]) -> int:
-    """Number of fixed (non-FREE) entries."""
-    return sum(1 for f in fixture if f != FREE)
-
-
-def movable_vertices(fixture: Sequence[int]) -> List[int]:
-    """Ids of free vertices."""
-    return [v for v, f in enumerate(fixture) if f == FREE]
-
-
-def apply_fixture(
-    parts: List[int], fixture: Sequence[int]
-) -> List[int]:
-    """Overwrite fixed vertices' blocks in-place; returns ``parts``."""
-    for v, f in enumerate(fixture):
-        if f != FREE:
-            parts[v] = f
-    return parts
-
-
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of vertices assigned differently by two solutions."""
-    if len(a) != len(b):
-        raise ValueError("solutions have different lengths")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def symmetric_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Bipartition distance up to block relabelling.
-
-    ``min(H(a, b), H(a, 1-b))`` -- the natural distance for free
-    bipartitions, where the two block labels are interchangeable.
-    """
-    if len(a) != len(b):
-        raise ValueError("solutions have different lengths")
-    direct = sum(1 for x, y in zip(a, b) if x != y)
-    return min(direct, len(a) - direct)

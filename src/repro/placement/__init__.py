@@ -13,7 +13,7 @@ from repro.placement.geometry import (
     Rect,
     midline,
 )
-from repro.placement.naming import block_name, block_region, parse_block_name
+from repro.placement.naming import block_name, block_region
 from repro.placement.objective import (
     terminal_positions_from_placement,
     wirelength_cost_model,
@@ -53,7 +53,6 @@ __all__ = [
     "format_table",
     "instance_parameters",
     "midline",
-    "parse_block_name",
     "perimeter_pad_positions",
     "place_circuit",
     "terminal_positions_from_placement",

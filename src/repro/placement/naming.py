@@ -9,15 +9,12 @@ from the die.
 
 from __future__ import annotations
 
-import re
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.placement.geometry import AXES, Rect
 
 BlockPath = Sequence[Tuple[str, int]]
 """Steps from the die to a block: (axis, side) with side 0 = low."""
-
-_STEP_RE = re.compile(r"^([VH])([01])$")
 
 
 def block_name(path: BlockPath) -> str:
@@ -31,27 +28,6 @@ def block_name(path: BlockPath) -> str:
     if not steps:
         return "L0"
     return f"L{len(steps)}_" + "_".join(steps)
-
-
-def parse_block_name(name: str) -> List[Tuple[str, int]]:
-    """Inverse of :func:`block_name`."""
-    parts = name.split("_")
-    match = re.match(r"^L(\d+)$", parts[0])
-    if not match:
-        raise ValueError(f"bad block name {name!r}: missing level prefix")
-    level = int(match.group(1))
-    steps = parts[1:]
-    if len(steps) != level:
-        raise ValueError(
-            f"bad block name {name!r}: level {level} but {len(steps)} steps"
-        )
-    path = []
-    for step in steps:
-        m = _STEP_RE.match(step)
-        if not m:
-            raise ValueError(f"bad block name {name!r}: step {step!r}")
-        path.append((m.group(1), int(m.group(2))))
-    return path
 
 
 def block_region(die: Rect, path: BlockPath) -> Rect:

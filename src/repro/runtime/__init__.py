@@ -66,7 +66,7 @@ from repro.runtime.pool import (
     resolve_jobs,
 )
 from repro.runtime.observe import NullRecorder, TracedValue, TraceRecorder
-from repro.runtime.seeds import derive_start_seeds, spawn_seed
+from repro.runtime.seeds import derive_start_seeds
 from repro.runtime.timing import TimedCall, timed_call
 
 __all__ = [
@@ -97,7 +97,6 @@ __all__ = [
     "parse_jobs",
     "plan_from_env",
     "resolve_jobs",
-    "spawn_seed",
     "spec_key",
     "timed_call",
 ]

@@ -29,8 +29,3 @@ def derive_start_seeds(seed: int, count: int) -> List[int]:
         raise ValueError("count must be non-negative")
     rng = random.Random(seed)
     return [rng.getrandbits(SEED_BITS) for _ in range(count)]
-
-
-def spawn_seed(rng: random.Random) -> int:
-    """Draw one task seed from an existing stream (serial call sites)."""
-    return rng.getrandbits(SEED_BITS)

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     PAPER_PERCENTS,
     find_good_solution,
-    fixture_summary,
     good_fixture,
     make_schedule,
     pad_schedule,
@@ -13,7 +12,11 @@ from repro.core import (
     regime_fixture,
 )
 from repro.hypergraph import CircuitSpec, generate_circuit
-from repro.partition import FREE, count_fixed, relative_bipartition_balance
+from repro.partition import FREE, relative_bipartition_balance
+
+
+def _num_fixed(fixture):
+    return sum(1 for f in fixture if f != FREE)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ class TestFixtures:
         schedule = make_schedule(circuit.graph, seed=6)
         reference = [v % 2 for v in range(circuit.graph.num_vertices)]
         fixture = good_fixture(schedule, 20.0, reference)
-        assert count_fixed(fixture) == schedule.count_at(20.0)
+        assert _num_fixed(fixture) == schedule.count_at(20.0)
         for v, f in enumerate(fixture):
             if f != FREE:
                 assert f == reference[v]
@@ -83,16 +86,14 @@ class TestFixtures:
     def test_rand_fixture_uses_both_sides(self, circuit):
         schedule = make_schedule(circuit.graph, seed=8)
         fixture = rand_fixture(schedule, 50.0, seed=10)
-        summary = fixture_summary(fixture)
-        assert summary.get(0, 0) > 0
-        assert summary.get(1, 0) > 0
+        assert 0 in fixture and 1 in fixture
 
     def test_regime_dispatch(self, circuit):
         schedule = make_schedule(circuit.graph, seed=11)
         reference = [0] * circuit.graph.num_vertices
         good = regime_fixture("good", schedule, 10.0, reference)
         rand = regime_fixture("rand", schedule, 10.0, seed=1)
-        assert count_fixed(good) == count_fixed(rand)
+        assert _num_fixed(good) == _num_fixed(rand)
         with pytest.raises(ValueError):
             regime_fixture("bad", schedule, 10.0)
         with pytest.raises(ValueError):
@@ -101,7 +102,7 @@ class TestFixtures:
     def test_zero_percent_all_free(self, circuit):
         schedule = make_schedule(circuit.graph, seed=12)
         fixture = rand_fixture(schedule, 0.0, seed=0)
-        assert count_fixed(fixture) == 0
+        assert _num_fixed(fixture) == 0
 
 
 class TestFindGoodSolution:

@@ -12,7 +12,6 @@ from repro.core import (
     run_cutoff_study,
     run_difficulty_study,
     run_pass_stats_study,
-    wasted_move_trend,
 )
 from repro.core.difficulty import format_study
 from repro.hypergraph import CircuitSpec, generate_circuit
@@ -107,8 +106,7 @@ class TestPassStatsStudy:
         assert row.avg_passes_per_run >= 1.0
         assert 0.0 <= row.avg_wasted_percent <= 100.0
         assert 0.0 <= row.avg_best_prefix_percent <= 100.0
-        trend = wasted_move_trend(study)
-        assert [p for p, _ in trend] == [0.0, 30.0]
+        assert [r.percent for r in study.rows] == [0.0, 30.0]
         with pytest.raises(KeyError):
             study.row(50.0)
 

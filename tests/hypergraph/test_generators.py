@@ -10,9 +10,9 @@ from repro.hypergraph import (
     generate_circuit,
     grid_hypergraph,
     random_k_uniform,
-    rent_exponent_estimate,
     validate_hypergraph,
 )
+from tests.oracles.rent_reference import rent_exponent_estimate
 
 
 class TestCircuitGenerator:

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.hypergraph import (
-    Hypergraph,
-    HypergraphError,
-    vertex_induced_subhypergraph,
-)
+from repro.hypergraph import Hypergraph, HypergraphError
+from tests.oracles.kway_reference import vertex_induced_subhypergraph
 
 
 class TestConstruction:

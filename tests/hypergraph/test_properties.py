@@ -9,9 +9,9 @@ from repro.hypergraph import (
     Hypergraph,
     contract,
     validate_hypergraph,
-    vertex_induced_subhypergraph,
 )
 from repro.partition import cut_size
+from tests.oracles.kway_reference import vertex_induced_subhypergraph
 
 
 @st.composite

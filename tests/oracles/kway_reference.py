@@ -1,25 +1,22 @@
-"""Recursive-bisection k-way partitioning with fixed vertices.
+"""Recursive-bisection k-way partitioning, the reference of the k-way FM
+engine.
 
-Top-down placement quadrisects or bisects recursively; the paper's
-Section V asks "whether multiway partitioning is as affected by fixed
-terminals".  This module provides k-way partitioning by recursive
-bisection: blocks ``0..k-1`` are split by bit, fixed vertices are routed
-to the sub-block their mandated block belongs to, and each bisection is
-solved by the multilevel engine.  Powers of two split evenly; other k
-split proportionally.
+Blocks ``0..k-1`` are split by halves: fixed vertices are routed to the
+sub-block their mandated block belongs to, and each bisection is solved
+by the multilevel engine on the vertex-induced sub-hypergraph.  Powers of
+two split evenly; other k split proportionally.
+``tests/partition/test_kwayfm.py`` holds the flat k-way FM engine to
+within a constant factor of this cut.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.hypergraph.hypergraph import (
-    Hypergraph,
-    vertex_induced_subhypergraph,
-)
-from repro.partition.balance import BalanceConstraint, relative_balance
+from repro.hypergraph.hypergraph import Hypergraph, HypergraphError
+from repro.partition.balance import BalanceConstraint
 from repro.partition.multilevel import (
     MultilevelBipartitioner,
     MultilevelConfig,
@@ -32,8 +29,40 @@ class KWayResult:
     """A k-way solution: block per vertex and its (cut-nets) cost."""
 
     parts: List[int]
-    num_parts: int
     cut: int
+
+
+def vertex_induced_subhypergraph(
+    graph: Hypergraph, vertices: Sequence[int]
+) -> Tuple[Hypergraph, List[int]]:
+    """Restrict ``graph`` to ``vertices``.
+
+    Nets are kept if they have at least two pins inside the subset (nets
+    with fewer pins cannot contribute to any cut).  Returns the
+    sub-hypergraph and the mapping from new vertex ids to original ids.
+    """
+    order = list(vertices)
+    index = {v: i for i, v in enumerate(order)}
+    if len(index) != len(order):
+        raise HypergraphError("duplicate vertices in subset")
+    new_nets: List[List[int]] = []
+    new_weights: List[int] = []
+    new_names: List[str] = []
+    for e in range(graph.num_nets):
+        pins = [index[v] for v in graph.net_pins(e) if v in index]
+        if len(pins) >= 2:
+            new_nets.append(pins)
+            new_weights.append(graph.net_weight(e))
+            new_names.append(graph.net_name(e))
+    sub = Hypergraph(
+        new_nets,
+        num_vertices=len(order),
+        areas=[graph.area(v) for v in order],
+        net_weights=new_weights,
+        vertex_names=[graph.vertex_name(v) for v in order],
+        net_names=new_names,
+    )
+    return sub, order
 
 
 def recursive_bisection(
@@ -47,8 +76,8 @@ def recursive_bisection(
     """Partition ``graph`` into ``num_parts`` blocks.
 
     ``fixture[v]`` may name any target block in ``0..num_parts-1`` (or
-    ``FREE``).  The per-level balance budget splits the global tolerance
-    evenly across levels, the standard recursive-bisection discipline.
+    ``FREE``).  Every bisection gets a window of half the global
+    tolerance around its target share.
     """
     if num_parts < 1:
         raise ValueError("num_parts must be positive")
@@ -70,9 +99,7 @@ def recursive_bisection(
         parts,
         rng,
     )
-    return KWayResult(
-        parts=parts, num_parts=num_parts, cut=cut_size(graph, parts)
-    )
+    return KWayResult(parts=parts, cut=cut_size(graph, parts))
 
 
 def _split(
@@ -133,23 +160,3 @@ def _split(
         graph, right, fixture, boundary, right_parts,
         tolerance, config, parts, rng,
     )
-
-
-def kway_balance_check(
-    graph: Hypergraph,
-    result: KWayResult,
-    tolerance: float,
-) -> bool:
-    """Whether every block's area is within ``tolerance`` of fair share.
-
-    Recursive bisection compounds per-level deviations, so callers
-    wanting a strict guarantee should verify with a slightly widened
-    tolerance (two bisection levels each within t/2 can compound to ~t).
-    """
-    constraint = relative_balance(
-        graph.total_area, result.num_parts, tolerance
-    )
-    loads = [0.0] * result.num_parts
-    for v in range(graph.num_vertices):
-        loads[result.parts[v]] += graph.area(v)
-    return constraint.is_feasible(loads)

@@ -5,7 +5,6 @@ import pytest
 from repro.partition import (
     BalanceConstraint,
     MultiBalanceConstraint,
-    absolute_balance,
     relative_balance,
     relative_bipartition_balance,
 )
@@ -76,13 +75,6 @@ class TestFactories:
     def test_relative_kway_bad_parts(self):
         with pytest.raises(ValueError):
             relative_balance(10.0, 0, 0.1)
-
-    def test_absolute(self):
-        c = absolute_balance([10.0, 20.0], slack=1.0)
-        assert c.min_loads == [0.0, 0.0]
-        assert c.max_loads == [11.0, 21.0]
-        assert c.is_feasible([0.0, 21.0])
-        assert not c.is_feasible([12.0, 0.0])
 
 
 class TestMultiBalance:

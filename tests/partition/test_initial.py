@@ -10,7 +10,6 @@ from repro.partition import (
     block_loads,
     greedy_bfs_bipartition,
     random_balanced_bipartition,
-    random_side_assignment,
     relative_balance,
     relative_bipartition_balance,
     respect_fixture,
@@ -65,20 +64,6 @@ class TestRandomBalanced:
             random_balanced_bipartition(
                 g, relative_balance(4.0, 3, 0.1)
             )
-
-
-class TestRandomSideAssignment:
-    def test_respects_fixture(self, rng):
-        fixture = [1, FREE, 0, FREE]
-        g = grid_hypergraph(2, 2)
-        parts = random_side_assignment(g, fixture=fixture, rng=rng)
-        assert parts[0] == 1 and parts[2] == 0
-
-    def test_multiway(self, rng):
-        g = grid_hypergraph(10, 10)
-        parts = random_side_assignment(g, rng=rng, num_parts=4)
-        assert set(parts) <= {0, 1, 2, 3}
-        assert len(set(parts)) > 1
 
 
 class TestTerminalSeeded:

@@ -1,4 +1,5 @@
-"""Unit tests for recursive k-way bisection and the baselines."""
+"""Unit tests for the recursive-bisection k-way reference and the
+baselines."""
 
 import pytest
 
@@ -6,13 +7,14 @@ from repro.hypergraph import CircuitSpec, generate_circuit, grid_hypergraph
 from repro.partition import (
     FREE,
     annealing_baseline,
+    block_loads,
     cut_size,
     greedy_baseline,
     random_baseline,
-    recursive_bisection,
+    relative_balance,
     relative_bipartition_balance,
 )
-from repro.partition.kway import kway_balance_check
+from tests.oracles.kway_reference import recursive_bisection
 
 
 class TestRecursiveBisection:
@@ -26,7 +28,8 @@ class TestRecursiveBisection:
         g = grid_hypergraph(8, 8)
         result = recursive_bisection(g, 4, tolerance=0.1, seed=2)
         assert set(result.parts) == {0, 1, 2, 3}
-        assert kway_balance_check(g, result, 0.25)
+        window = relative_balance(g.total_area, 4, 0.25)
+        assert window.is_feasible(block_loads(g, result.parts, 4))
         # A good quadrisection of an 8x8 grid cuts ~16 mesh edges.
         assert result.cut <= 32
 

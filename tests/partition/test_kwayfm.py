@@ -14,13 +14,13 @@ from repro.hypergraph import (
 from repro.partition import (
     FREE,
     cut_size,
-    recursive_bisection,
     relative_balance,
     relative_bipartition_balance,
 )
 from repro.core.regimes import make_schedule, rand_fixture
 from repro.experiments.circuits import load_instance
 from repro.partition.kwayfm import KWayFMRefiner, kway_fm_partition
+from tests.oracles.kway_reference import recursive_bisection
 
 
 class TestRefiner:

@@ -6,20 +6,11 @@ from repro.hypergraph import Hypergraph
 from repro.partition import (
     FREE,
     Bipartition,
-    apply_fixture,
     block_loads,
-    count_fixed,
-    cut_nets,
     cut_size,
-    free_fixture,
-    hamming_distance,
-    movable_vertices,
-    pins_per_block,
     respect_fixture,
-    symmetric_distance,
     validate_fixture,
 )
-from repro.partition.solution import block_resource_loads
 
 
 class TestCutSize:
@@ -43,31 +34,11 @@ class TestCutSize:
         g = Hypergraph([[], [0, 1]], num_vertices=2)
         assert cut_size(g, [0, 1]) == 1
 
-    def test_cut_nets_ids(self, small_hypergraph):
-        parts = [0, 0, 1, 1, 1, 0]
-        # cut nets: {1,2,3} (0/1), {4,5} (1/0), {0,5}? both 0 -> no.
-        assert cut_nets(small_hypergraph, parts) == [1, 3]
-
 
 class TestLoads:
     def test_block_loads(self, weighted_hypergraph):
         loads = block_loads(weighted_hypergraph, [0, 1, 0, 1], 2)
         assert loads == [4.0, 4.0]
-
-    def test_resource_loads(self):
-        g = Hypergraph(
-            [[0, 1]],
-            num_vertices=2,
-            areas=[1, 2],
-            extra_resources=[[10.0, 20.0]],
-        )
-        assert block_resource_loads(g, [0, 1], 2, 1) == [10.0, 20.0]
-
-    def test_pins_per_block(self, small_hypergraph):
-        assert pins_per_block(small_hypergraph, 1, [0, 0, 1, 1, 0, 0], 2) == [
-            1,
-            2,
-        ]
 
 
 class TestBipartition:
@@ -85,20 +56,9 @@ class TestBipartition:
 
 
 class TestFixture:
-    def test_free_fixture(self):
-        f = free_fixture(4)
-        assert f == [FREE] * 4
-        assert count_fixed(f) == 0
-        assert movable_vertices(f) == [0, 1, 2, 3]
-
     def test_respect(self):
         assert respect_fixture([0, 1, 1], [FREE, 1, FREE])
         assert not respect_fixture([0, 0, 1], [FREE, 1, FREE])
-
-    def test_apply(self):
-        parts = [0, 0, 0]
-        apply_fixture(parts, [FREE, 1, FREE])
-        assert parts == [0, 1, 0]
 
     def test_validate_ok(self):
         validate_fixture([FREE, 0, 1], 3, 2)
@@ -112,23 +72,3 @@ class TestFixture:
             validate_fixture([2], 1, 2)
         with pytest.raises(ValueError):
             validate_fixture([-3], 1, 2)
-
-    def test_count_and_movable(self):
-        f = [0, FREE, 1, FREE]
-        assert count_fixed(f) == 2
-        assert movable_vertices(f) == [1, 3]
-
-
-class TestDistances:
-    def test_hamming(self):
-        assert hamming_distance([0, 1, 0], [0, 0, 0]) == 1
-
-    def test_hamming_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance([0], [0, 1])
-
-    def test_symmetric(self):
-        # Complement of [0,1,0] is [1,0,1]: distance 0 up to relabeling.
-        assert symmetric_distance([0, 1, 0], [1, 0, 1]) == 0
-        assert symmetric_distance([0, 1, 0], [0, 1, 0]) == 0
-        assert symmetric_distance([0, 0, 0, 1], [0, 0, 1, 1]) == 1

@@ -10,7 +10,6 @@ from repro.placement import (
     block_name,
     block_region,
     midline,
-    parse_block_name,
 )
 
 
@@ -98,22 +97,6 @@ class TestNaming:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             block_name([("Q", 0)])
-
-    def test_parse_roundtrip(self):
-        for path in (
-            [],
-            [(VERTICAL, 0)],
-            [(VERTICAL, 1), (HORIZONTAL, 0), (VERTICAL, 1)],
-        ):
-            assert parse_block_name(block_name(path)) == path
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_block_name("V0")
-        with pytest.raises(ValueError):
-            parse_block_name("L2_V0")  # level/step count mismatch
-        with pytest.raises(ValueError):
-            parse_block_name("L1_X0")
 
     def test_block_region(self):
         die = Rect(0, 0, 8, 8)
