@@ -23,8 +23,8 @@ from repro.core.regimes import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
-from repro.partition.fm import FMBipartitioner, FMConfig
-from repro.partition.initial import random_balanced_bipartition
+from repro.partition.fm import FMConfig
+from repro.partition.multistart import FlatFMStartTask
 from repro.runtime import Quarantined, parallel_map
 
 PAPER_CUTOFFS = (1.0, 0.5, 0.25, 0.10, 0.05)
@@ -52,7 +52,7 @@ class CutoffCell:
         return f"{self.avg_cut:8.1f} ({self.avg_cpu_seconds:6.3f}s)"
 
 
-class _CutoffRunTask:
+class _CutoffRunTask(FlatFMStartTask):
     """One LIFO-FM run at a fixed cutoff per init seed (picklable).
 
     The initial solution is reconstructed inside the worker from the
@@ -69,39 +69,19 @@ class _CutoffRunTask:
         fixture: Sequence[int],
         cutoff: float,
     ) -> None:
-        self.graph = graph
-        self.balance = balance
-        self.fixture = list(fixture)
-        self.cutoff = cutoff
-        self._engine: Optional[FMBipartitioner] = None
-
-    def __getstate__(self):
-        return (self.graph, self.balance, self.fixture, self.cutoff)
-
-    def __setstate__(self, state):
-        self.graph, self.balance, self.fixture, self.cutoff = state
-        self._engine = None
+        super().__init__(
+            graph,
+            balance,
+            fixture,
+            FMConfig(policy="lifo", pass_move_limit_fraction=cutoff),
+        )
 
     def __call__(self, init_seed: int):
-        if self._engine is None:
-            self._engine = FMBipartitioner(
-                self.graph,
-                self.balance,
-                fixture=self.fixture,
-                config=FMConfig(
-                    policy="lifo",
-                    pass_move_limit_fraction=self.cutoff,
-                ),
-            )
-        init = random_balanced_bipartition(
-            self.graph,
-            self.balance,
-            fixture=self.fixture,
-            rng=random.Random(init_seed),
-        )
+        engine = self.engine  # built once, outside the timed region
+        init = self.initial(init_seed)
         cpu0 = time.process_time()
         t0 = time.perf_counter()
-        result = self._engine.run(init)
+        result = engine.run(init)
         seconds = time.perf_counter() - t0
         cpu_seconds = time.process_time() - cpu0
         return (result.solution.cut, seconds, cpu_seconds, result.total_moves)

@@ -22,14 +22,14 @@ from repro.core.regimes import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
-from repro.partition.fm import FMBipartitioner, FMConfig, PassRecord
-from repro.partition.initial import random_balanced_bipartition
+from repro.partition.fm import FMConfig, PassRecord
+from repro.partition.multistart import FlatFMStartTask
 from repro.runtime import Quarantined, parallel_map
 from repro.runtime.observe import recorder as _observe
 
 
-class _PassStatsRunTask:
-    """One random-start FM run per init seed (picklable for pools).
+class _PassStatsRunTask(FlatFMStartTask):
+    """One random-start LIFO-FM run per init seed (picklable for pools).
 
     Returns ``(num_passes, final_cut, pass_records)`` -- everything the
     aggregation needs, without shipping the parts vector back.
@@ -41,35 +41,12 @@ class _PassStatsRunTask:
         balance: BalanceConstraint,
         fixture: Sequence[int],
     ) -> None:
-        self.graph = graph
-        self.balance = balance
-        self.fixture = list(fixture)
-        self._engine: Optional[FMBipartitioner] = None
-
-    def __getstate__(self):
-        return (self.graph, self.balance, self.fixture)
-
-    def __setstate__(self, state):
-        self.graph, self.balance, self.fixture = state
-        self._engine = None
+        super().__init__(graph, balance, fixture, FMConfig(policy="lifo"))
 
     def __call__(
         self, init_seed: int
     ) -> Tuple[int, int, Tuple[PassRecord, ...]]:
-        if self._engine is None:
-            self._engine = FMBipartitioner(
-                self.graph,
-                self.balance,
-                fixture=self.fixture,
-                config=FMConfig(policy="lifo"),
-            )
-        init = random_balanced_bipartition(
-            self.graph,
-            self.balance,
-            fixture=self.fixture,
-            rng=random.Random(init_seed),
-        )
-        result = self._engine.run(init)
+        result = self.engine.run(self.initial(init_seed))
         return (
             result.num_passes,
             result.solution.cut,

@@ -280,12 +280,17 @@ class FlatFMStartTask(_EngineStartTask):
             config=self.config,
         )
 
-    def __call__(self, start_seed: int) -> Bipartition:
-        rng = random.Random(start_seed)
-        init = random_balanced_bipartition(
-            self.graph, self.balance, fixture=self.fixture, rng=rng
+    def initial(self, start_seed: int) -> List[int]:
+        """The random balanced start of ``start_seed``."""
+        return random_balanced_bipartition(
+            self.graph,
+            self.balance,
+            fixture=self.fixture,
+            rng=random.Random(start_seed),
         )
-        return self.engine.run(init).solution
+
+    def __call__(self, start_seed: int) -> Bipartition:
+        return self.engine.run(self.initial(start_seed)).solution
 
 
 class KWayStartTask(_EngineStartTask):

@@ -18,13 +18,92 @@ which is what Table IV tabulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+)
 
 from repro.core.instance import PartitioningInstance
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, _transpose
 from repro.partition.balance import relative_balance
 from repro.placement.geometry import Cutline, Rect, midline
-from repro.placement.placer import Placement
+
+if TYPE_CHECKING:
+    from repro.placement.placer import Placement, Point
+
+
+def build_block(
+    graph: Hypergraph,
+    cells: Sequence[int],
+    nets: Iterable[int],
+    positions: Sequence[Point],
+    cutline: Cutline,
+) -> Tuple[Hypergraph, List[int], List[int], List[int]]:
+    """The Section IV hypergraph of one block.
+
+    ``cells`` become the movable vertices ``0..len(cells)-1`` in the
+    given order.  Each of ``nets`` (in the given order) that has a pin
+    on a cell and at least two pins becomes a net of the block; its
+    inside pins come first, then its outside pins, and each outside
+    vertex becomes a zero-area terminal the first time it is met, fixed
+    on the side of ``cutline`` nearest its position.  Returns ``(block
+    graph, side of each terminal, kept parent net ids, parent id of each
+    block vertex)``.
+    """
+    net_ptr, net_pins, _, _, net_weights, areas = graph.csr_lists()
+    local = {v: i for i, v in enumerate(cells)}
+    terminal: Dict[int, int] = {}
+    parent = list(cells)
+    sides: List[int] = []
+    kept: List[int] = []
+    ptr = [0]
+    pins: List[int] = []
+    for e in nets:
+        net = net_pins[net_ptr[e] : net_ptr[e + 1]]
+        inner = [local[v] for v in net if v in local]
+        if not inner or len(net) < 2:
+            continue
+        pins += inner
+        for v in net:
+            if v in local:
+                continue
+            u = terminal.get(v)
+            if u is None:
+                u = terminal[v] = len(parent)
+                parent.append(v)
+                sides.append(cutline.side_of(*positions[v]))
+            pins.append(u)
+        ptr.append(len(pins))
+        kept.append(e)
+    vtx_ptr, vtx_nets = _transpose(len(parent), ptr, pins)
+    block = Hypergraph.from_buffers(
+        dict(
+            num_vertices=len(parent),
+            net_ptr=ptr,
+            net_pins=pins,
+            vtx_ptr=vtx_ptr,
+            vtx_nets=vtx_nets,
+            areas=[areas[v] for v in cells] + [0.0] * len(sides),
+            net_weights=[net_weights[e] for e in kept],
+        )
+    )
+    return block, sides, kept, parent
+
+
+def touching_nets(graph: Hypergraph, cells: Iterable[int]) -> List[int]:
+    """Nets with a pin on ``cells``, in first-visit order."""
+    _, _, vtx_ptr, vtx_nets, _, _ = graph.csr_lists()
+    runs = (vtx_nets[vtx_ptr[v] : vtx_ptr[v + 1]] for v in cells)
+    return list(dict.fromkeys(e for run in runs for e in run))
+
+
+def cells_in_block(placement: Placement, block: Rect) -> List[int]:
+    """Ascending ids of the non-pad vertices placed inside ``block``."""
+    pads = set(placement.pad_vertices)
+    return [
+        v
+        for v, (x, y) in enumerate(placement.positions)
+        if v not in pads and block.contains(x, y)
+    ]
 
 
 def derive_instance(
@@ -40,70 +119,33 @@ def derive_instance(
     Either pass an explicit ``cutline`` or an ``axis`` (the cutline then
     bisects the block at its midline).  Vertices of the instance are the
     in-block cells followed by the induced terminals; terminals are
-    fixed in the cutline side nearest their placed location.
+    fixed in the cutline side nearest their placed location.  Cells and
+    nets keep their ascending parent order.
     """
     if cutline is None:
         if axis is None:
             raise ValueError("pass either cutline or axis")
         cutline = midline(block, axis)
     graph = placement.graph
-    pads = set(placement.pad_vertices)
-
-    inside: List[int] = []
-    for v in range(graph.num_vertices):
-        if v in pads:
-            continue
-        x, y = placement.positions[v]
-        if block.contains(x, y):
-            inside.append(v)
-    inside_set = set(inside)
-
-    local: Dict[int, int] = {v: i for i, v in enumerate(inside)}
-    areas = [graph.area(v) for v in inside]
-    names = [graph.vertex_name(v) for v in inside]
-    fixture_sets: List[Optional[frozenset]] = [None] * len(inside)
-    terminal_ids: List[int] = []
-
-    nets: List[List[int]] = []
-    weights: List[int] = []
-    net_names: List[str] = []
-    for e in range(graph.num_nets):
-        pins = graph.net_pins(e)
-        inside_pins = [v for v in pins if v in inside_set]
-        if not inside_pins:
-            continue
-        net_local = [local[v] for v in inside_pins]
-        for v in pins:
-            if v in inside_set:
-                continue
-            if v not in local:
-                local[v] = len(areas)
-                areas.append(0.0)
-                names.append(graph.vertex_name(v))
-                x, y = placement.positions[v]
-                fixture_sets.append(frozenset([cutline.side_of(x, y)]))
-                terminal_ids.append(local[v])
-            net_local.append(local[v])
-        if len(net_local) >= 2:
-            nets.append(net_local)
-            weights.append(graph.net_weight(e))
-            net_names.append(graph.net_name(e))
-
-    sub = Hypergraph(
-        nets,
-        num_vertices=len(areas),
-        areas=areas,
-        net_weights=weights,
-        vertex_names=names,
-        net_names=net_names,
+    cells = cells_in_block(placement, block)
+    nets = sorted(touching_nets(graph, cells))
+    sub, sides, kept, parent = build_block(
+        graph, cells, nets, placement.positions, cutline
     )
-    balance = relative_balance(sub.total_area, 2, tolerance)
+    sub = Hypergraph.from_buffers(
+        dict(
+            sub.to_buffers(),
+            vertex_names=[graph.vertex_name(v) for v in parent],
+            net_names=[graph.net_name(e) for e in kept],
+        )
+    )
     return PartitioningInstance(
         graph=sub,
         num_parts=2,
-        balance=balance,
-        fixture_sets=fixture_sets,
-        pad_vertices=terminal_ids,
+        balance=relative_balance(sub.total_area, 2, tolerance),
+        fixture_sets=[None] * len(cells)
+        + [frozenset([side]) for side in sides],
+        pad_vertices=list(range(len(cells), len(parent))),
         name=name,
     )
 

@@ -28,6 +28,7 @@ from repro.partition.multilevel import (
     MultilevelConfig,
 )
 from repro.partition.solution import FREE
+from repro.placement.derive import build_block, touching_nets
 from repro.placement.geometry import Rect, midline
 
 Point = Tuple[float, float]
@@ -195,59 +196,24 @@ class TopDownPlacer:
         """
         graph = self.graph
         axis = region.long_axis()
-        cut = midline(region, axis)
-        inside = set(block)
-
-        # Build the block instance: movable cells plus propagated
-        # terminals for every external pin of a net touching the block.
-        sub_nets: List[List[int]] = []
-        sub_weights: List[int] = []
-        local: Dict[int, int] = {v: i for i, v in enumerate(block)}
-        areas = [graph.area(v) for v in block]
-        fixture = [FREE] * len(block)
-        nets_seen = set()
-        for v in block:
-            for e in graph.vertex_nets(v):
-                if e in nets_seen:
-                    continue
-                nets_seen.add(e)
-                pins = graph.net_pins(e)
-                inside_pins = [u for u in pins if u in inside]
-                if not inside_pins:
-                    continue
-                net_local = [local[u] for u in inside_pins]
-                for u in pins:
-                    if u in inside:
-                        continue
-                    if u not in local:
-                        local[u] = len(areas)
-                        areas.append(0.0)
-                        x, y = anchor[u]
-                        fixture.append(cut.side_of(x, y))
-                    net_local.append(local[u])
-                if len(net_local) >= 2:
-                    sub_nets.append(net_local)
-                    sub_weights.append(graph.net_weight(e))
-
-        sub = Hypergraph(
-            sub_nets,
-            num_vertices=len(areas),
-            areas=areas,
-            net_weights=sub_weights,
-        )
-        balance = relative_bipartition_balance(
-            sum(graph.area(v) for v in block), self.config.tolerance
+        # The block instance: movable cells plus propagated terminals
+        # for every external pin of a net touching the block.
+        nets = touching_nets(graph, block)
+        sub, sides, _, _ = build_block(
+            graph, block, nets, anchor, midline(region, axis)
         )
         engine = MultilevelBipartitioner(
             sub,
-            balance=balance,
-            fixture=fixture,
+            balance=relative_bipartition_balance(
+                sub.total_area, self.config.tolerance
+            ),
+            fixture=[FREE] * len(block) + sides,
             config=self.config.multilevel,
         )
         parts = engine.run(seed=rng.getrandbits(32)).solution.parts
 
-        side0 = [v for v in block if parts[local[v]] == 0]
-        side1 = [v for v in block if parts[local[v]] == 1]
+        side0 = [v for v, p in zip(block, parts) if p == 0]
+        side1 = [v for v, p in zip(block, parts) if p == 1]
         if not side0 or not side1:
             # Degenerate split (pathological balance); fall back to an
             # area-halving order split so the recursion always advances.

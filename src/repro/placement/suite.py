@@ -16,6 +16,7 @@ from repro.core.instance import PartitioningInstance
 from repro.hypergraph.generators import SyntheticCircuit
 from repro.placement.derive import (
     InstanceParameters,
+    cells_in_block,
     derive_instance,
     instance_parameters,
 )
@@ -103,15 +104,9 @@ def build_suite(
             circuit, config=placer_config, seed=seed
         )
     suite = BenchmarkSuite(circuit_name=circuit_name, placement=placement)
-    pads = set(placement.pad_vertices)
     for letter, path in SERIES_PATHS.items():
         block = block_region(placement.die, path)
-        cells_in_block = sum(
-            1
-            for v in range(placement.graph.num_vertices)
-            if v not in pads and block.contains(*placement.positions[v])
-        )
-        if cells_in_block < min_block_cells:
+        if len(cells_in_block(placement, block)) < min_block_cells:
             continue
         for axis in (VERTICAL, HORIZONTAL):
             name = f"{circuit_name}{letter}_{block_name(path)}_{axis}"
