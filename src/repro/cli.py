@@ -18,7 +18,7 @@ import importlib
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core import (
     bipartition_instance,
@@ -55,28 +55,35 @@ from repro.runtime import (
 
 ENGINES = ("multilevel", "fm", "kway")
 
+Checks = List[Tuple[str, bool]]  # (label, passed) per shape check
+
 
 class _Experiment(NamedTuple):
     """One ``repro experiment`` entry; see :data:`_EXPERIMENTS`."""
 
     module: str  # submodule of repro.experiments, imported on use
     run: Callable[[Any, str, dict], Any]  # (module, profile, runtime)
-    render: Callable[[Any, Any], str]  # (module, result) -> report
+    render: Callable[[Any, Any], Tuple[str, Checks]]  # -> (report, checks)
     result: str  # results/ file name; {profile} is filled in
     runtime: bool = True  # takes --resume/--timeout/--max-retries
 
 
-def _report(text: str, checks, sep: str = "\n\n") -> str:
-    """``text`` followed by one PASS/FAIL line per shape check."""
-    return text + sep + "\n".join(check(label, ok) for label, ok in checks)
+def _report(text: str, checks: Checks, sep: str = "\n\n"):
+    """(report, checks): ``text`` followed by one PASS/FAIL line per
+    shape check."""
+    checks = list(checks)
+    lines = "\n".join(check(label, ok) for label, ok in checks)
+    return text + sep + lines, checks
 
 
-def _per_circuit(module, studies) -> str:
+def _per_circuit(module, studies):
     """Tables II and III: one block per circuit, each with its checks."""
-    return "\n\n".join(
+    reports = [
         _report(study.format_table(), module.shape_checks(study), "\n")
         for study in studies.values()
-    )
+    ]
+    text = "\n\n".join(text for text, _ in reports)
+    return text, [c for _, checks in reports for c in checks]
 
 
 def _figure(name: str) -> _Experiment:
@@ -145,6 +152,15 @@ _EXPERIMENTS = {
             m.shape_checks(tables),
         ),
         "suite_solutions_{profile}",
+        runtime=False,
+    ),
+    "ablations": _Experiment(
+        "ablations",
+        lambda m, profile, rt: m.run_ablations(jobs=rt["jobs"]),
+        lambda m, report: _report(
+            report.format_report(), m.shape_checks(report)
+        ),
+        "ablations",
         runtime=False,
     ),
 }
@@ -600,11 +616,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         args.profile,
         {"jobs": args.jobs, "policy": policy, "journal": journal},
     )
-    emit(
-        experiment.render(module, result),
-        name=experiment.result.format(profile=args.profile),
-    )
-    return 0
+    text, checks = experiment.render(module, result)
+    emit(text, name=experiment.result.format(profile=args.profile))
+    failed = [label for label, ok in checks if not ok]
+    for label in failed:
+        print(f"repro: shape check failed: {label}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -10,7 +10,7 @@ Profiles trade fidelity for wall-clock time:
 * ``full``  -- ibm01s/ibm03s circuits, the paper's 12 percentages,
   1/2/4/8 starts, 5 trials (the paper used 50);
 * ``quick`` -- smaller stand-in circuits, 6 percentages, 1/2/4 starts,
-  2 trials; used by the pytest-benchmark harness.
+  2 trials (the default).
 """
 
 from __future__ import annotations

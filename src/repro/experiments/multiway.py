@@ -290,7 +290,7 @@ def run_multiway(
     policy=None,
     journal=None,
 ) -> MultiwayStudy:
-    """Profile wrapper used by the bench harness."""
+    """Run the k-way study at one profile (``repro experiment multiway``)."""
     if profile not in PROFILE_SETTINGS:
         raise KeyError(f"unknown profile {profile!r}")
     settings = PROFILE_SETTINGS[profile]

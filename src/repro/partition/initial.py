@@ -234,72 +234,3 @@ def terminal_seeded_bipartition(
         if not moved_any:
             break
     return parts
-
-
-def greedy_bfs_bipartition(
-    graph: Hypergraph,
-    balance: BalanceConstraint,
-    fixture: Optional[Sequence[int]] = None,
-    rng: Optional[random.Random] = None,
-) -> List[int]:
-    """Breadth-first growth construction.
-
-    Grows side 0 from a random seed (or from the vertices fixed in side
-    0) along hypergraph adjacency until it holds roughly half the area;
-    everything else goes to side 1.  Produces far better starting cuts
-    than random construction on local netlists, which makes it a useful
-    contrast baseline for the "does multistart still matter" experiments.
-    """
-    if balance.num_parts != 2:
-        raise ValueError("bipartition constructor is strictly 2-way")
-    n = graph.num_vertices
-    if fixture is None:
-        fixture = [FREE] * n
-    validate_fixture(fixture, n, 2)
-    rng = rng or random.Random()
-
-    parts = [1] * n
-    loads = [0.0, 0.0]
-    for v in range(n):
-        if fixture[v] != FREE:
-            parts[v] = fixture[v]
-            loads[fixture[v]] += graph.area(v)
-        else:
-            loads[1] += graph.area(v)
-
-    target0 = (balance.min_loads[0] + balance.max_loads[0]) / 2.0
-    frontier: List[int] = [
-        v for v in range(n) if fixture[v] == 0
-    ]
-    visited = [fixture[v] != FREE for v in range(n)]
-    if not frontier:
-        free = [v for v in range(n) if fixture[v] == FREE]
-        if not free:
-            return parts
-        seed = rng.choice(free)
-        frontier = [seed]
-
-    head = 0
-    while head < len(frontier) and loads[0] < target0:
-        v = frontier[head]
-        head += 1
-        if fixture[v] == FREE and parts[v] == 1:
-            parts[v] = 0
-            loads[1] -= graph.area(v)
-            loads[0] += graph.area(v)
-        for e in graph.vertex_nets(v):
-            for u in graph.net_pins(e):
-                if not visited[u]:
-                    visited[u] = True
-                    frontier.append(u)
-        if head == len(frontier) and loads[0] < target0:
-            unvisited = [
-                u
-                for u in range(n)
-                if fixture[u] == FREE and parts[u] == 1 and not visited[u]
-            ]
-            if unvisited:
-                nxt = rng.choice(unvisited)
-                visited[nxt] = True
-                frontier.append(nxt)
-    return parts

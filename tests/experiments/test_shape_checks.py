@@ -5,11 +5,23 @@ each check accepts and rejects using hand-built study objects, so a
 regression in the checks themselves cannot silently pass bad data.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.difficulty import DifficultyPoint, DifficultyStudy
 from repro.core.pass_stats import PassStatsRow, PassStatsStudy
+from repro.experiments.ablations import Ablations
+from repro.experiments.ablations import shape_checks as ablation_checks
 from repro.experiments.figures import shape_checks as figure_checks
+from repro.experiments.multiway import MultiwayPoint, MultiwayStudy
+from repro.experiments.multiway import shape_checks as multiway_checks
+from repro.experiments.overconstrained import OverconstrainedReport
+from repro.experiments.overconstrained import (
+    shape_checks as overconstrained_checks,
+)
+from repro.experiments.suite_solutions import SolutionRow, SolutionTable
+from repro.experiments.suite_solutions import shape_checks as suite_checks
 from repro.experiments.table2 import shape_checks as table2_checks
 
 
@@ -140,3 +152,152 @@ class TestTable2Checks:
         study = build_pass_stats()
         with pytest.raises(KeyError):
             study.row(77.0)
+
+
+def _failing(checks, fragment):
+    """Labels of the failing checks whose label contains ``fragment``."""
+    return [label for label, ok in checks if fragment in label and not ok]
+
+
+def build_ablations(**changes):
+    """The quick01 ablation numbers, with ``changes`` applied."""
+    report = Ablations(
+        circuit_name="synthetic",
+        policy_cuts={"lifo": 113, "fifo": 117, "clip": 112},
+        vcycle_cuts={0: 122, 1: 121},
+        vcycle_passes={0: 86, 1: 101},
+        matching_cuts={"heavy": 121.2, "random": 118.2},
+        seeding_reference=117,
+        seeding_cuts={"seeded": 119.2, "random-only": 120.5},
+        original_cut=436,
+        clustered_cut=418,
+        lifted_cut=418,
+        pad_percent=6.8,
+        pad_cuts={"pads": 119.0, "random": 120.0},
+    )
+    return replace(report, **changes)
+
+
+class TestAblationChecks:
+    def test_healthy_passes(self):
+        assert all(ok for _, ok in ablation_checks(build_ablations()))
+
+    @pytest.mark.parametrize(
+        "changes, fragment",
+        [
+            ({"policy_cuts": {"lifo": 240, "fifo": 250, "clip": 112}},
+             "LIFO and CLIP"),
+            ({"policy_cuts": {"lifo": 113, "fifo": 100, "clip": 112}},
+             "FIFO"),
+            ({"vcycle_passes": {0: 86, 1: 86}}, "extra FM passes"),
+            ({"vcycle_cuts": {0: 122, 1: 80}}, "marginal cut gain"),
+            ({"matching_cuts": {"heavy": 140.0, "random": 118.2}},
+             "heavy-edge"),
+            ({"seeding_cuts": {"seeded": 125.0, "random-only": 120.5}},
+             "terminal-seeded"),
+            ({"lifted_cut": 419}, "lifting"),
+            ({"clustered_cut": 600, "lifted_cut": 600}, "just as easy"),
+            ({"original_cut": 600}, "just as easy"),
+            ({"pad_cuts": {"pads": 119.0, "random": 200.0}}, "pads"),
+        ],
+    )
+    def test_broken_claim_fails(self, changes, fragment):
+        checks = ablation_checks(build_ablations(**changes))
+        assert len(_failing(checks, fragment)) == 1
+        assert sum(not ok for _, ok in checks) == 1
+
+
+def build_multiway(rand_raw=(100.0, 300.0), gaps=(0.2, 0.05), cpu=(0.5, 0.1)):
+    """A two-percent, two-start k-way study with controllable shapes."""
+    study = MultiwayStudy(
+        circuit_name="synthetic",
+        num_parts=4,
+        percents=(0.0, 40.0),
+        starts_list=(1, 4),
+        trials=2,
+        good_cut=100,
+    )
+    for regime in ("good", "rand"):
+        for i, percent in enumerate(study.percents):
+            raw = rand_raw[i] if regime == "rand" else 100.0
+            for starts, norm in ((1, 1.0 + gaps[i]), (4, 1.0)):
+                study.points.append(
+                    MultiwayPoint(
+                        regime=regime,
+                        percent=percent,
+                        starts=starts,
+                        raw_cut=raw,
+                        normalized_cut=norm,
+                        cpu_seconds=cpu[i] * starts,
+                    )
+                )
+    return study
+
+
+class TestMultiwayChecks:
+    def test_healthy_passes(self):
+        assert all(ok for _, ok in multiway_checks(build_multiway()))
+
+    def test_flat_rand_growth_fails(self):
+        checks = multiway_checks(build_multiway(rand_raw=(100.0, 140.0)))
+        assert _failing(checks, "raw cut grows")
+
+    def test_widening_gap_fails(self):
+        checks = multiway_checks(build_multiway(gaps=(0.05, 0.5)))
+        assert len(_failing(checks, "gap shrinks")) == 2
+
+    def test_rising_cpu_fails(self):
+        checks = multiway_checks(build_multiway(cpu=(0.1, 0.5)))
+        assert len(_failing(checks, "CPU decreases")) == 2
+
+
+def build_overconstrained(cuts=(120.0, 130.0, 118.0)):
+    return OverconstrainedReport(
+        circuit_name="synthetic",
+        percents=(0.0, 10.0, 40.0),
+        good_cut=115,
+        single_start_cuts=list(cuts),
+    )
+
+
+class TestOverconstrainedChecks:
+    def test_healthy_passes(self):
+        checks = overconstrained_checks(build_overconstrained())
+        assert all(ok for _, ok in checks)
+
+    def test_insane_endpoint_fails(self):
+        report = build_overconstrained(cuts=(120.0, 130.0, 500.0))
+        assert _failing(overconstrained_checks(report), "endpoints")
+
+    def test_short_curve_fails(self):
+        report = build_overconstrained(cuts=(120.0, 118.0))
+        assert _failing(overconstrained_checks(report), "bump measured")
+
+
+def build_solutions(best=60, avg=63.5, free=38):
+    table = SolutionTable(circuit_name="synthetic", starts=4)
+    table.rows.append(
+        SolutionRow(
+            name="syntheticD_L3_V",
+            num_cells=110,
+            num_terminals=183,
+            best_cut=best,
+            avg_cut=avg,
+            avg_seconds=0.1,
+            free_cut=free,
+        )
+    )
+    return [table]
+
+
+class TestSuiteSolutionChecks:
+    def test_healthy_passes(self):
+        assert all(ok for _, ok in suite_checks(build_solutions()))
+
+    def test_best_above_average_fails(self):
+        checks = suite_checks(build_solutions(best=70, avg=63.5))
+        assert _failing(checks, "best <= avg")
+
+    def test_fixed_cut_below_free_cut_fails(self):
+        checks = suite_checks(build_solutions(best=30, avg=31.0, free=38))
+        assert _failing(checks, "free cut")

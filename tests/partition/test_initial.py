@@ -8,7 +8,6 @@ from repro.hypergraph import CircuitSpec, generate_circuit, grid_hypergraph
 from repro.partition import (
     FREE,
     block_loads,
-    greedy_bfs_bipartition,
     random_balanced_bipartition,
     relative_balance,
     relative_bipartition_balance,
@@ -122,56 +121,3 @@ class TestTerminalSeeded:
             terminal_seeded_bipartition(
                 g, relative_balance(4.0, 3, 0.2), [FREE] * 4, rng=rng
             )
-
-
-class TestGreedyBFS:
-    def test_better_than_random_on_local_graph(self):
-        g = grid_hypergraph(10, 10)
-        balance = relative_bipartition_balance(g.total_area, 0.1)
-        greedy_cuts = []
-        random_cuts = []
-        for s in range(5):
-            greedy_cuts.append(
-                cut_size(
-                    g,
-                    greedy_bfs_bipartition(
-                        g, balance, rng=random.Random(s)
-                    ),
-                )
-            )
-            random_cuts.append(
-                cut_size(
-                    g,
-                    random_balanced_bipartition(
-                        g, balance, rng=random.Random(s)
-                    ),
-                )
-            )
-        assert sum(greedy_cuts) < sum(random_cuts)
-
-    def test_grows_from_fixed_side0(self, rng):
-        g = grid_hypergraph(4, 4)
-        fixture = [FREE] * 16
-        fixture[0] = 0
-        balance = relative_bipartition_balance(g.total_area, 0.3)
-        parts = greedy_bfs_bipartition(g, balance, fixture=fixture, rng=rng)
-        assert parts[0] == 0
-        assert respect_fixture(parts, fixture)
-        # Roughly half the grid ends up on side 0.
-        assert 4 <= sum(1 for p in parts if p == 0) <= 12
-
-    def test_disconnected_graph_still_fills(self, rng):
-        from repro.hypergraph import Hypergraph
-
-        g = Hypergraph([[0, 1], [2, 3]], num_vertices=8)
-        balance = relative_bipartition_balance(8.0, 0.3)
-        parts = greedy_bfs_bipartition(g, balance, rng=rng)
-        loads = block_loads(g, parts, 2)
-        assert balance.is_feasible(loads)
-
-    def test_all_fixed(self, rng):
-        g = grid_hypergraph(2, 2)
-        fixture = [0, 0, 1, 1]
-        balance = relative_bipartition_balance(4.0, 0.3)
-        parts = greedy_bfs_bipartition(g, balance, fixture=fixture, rng=rng)
-        assert parts == [0, 0, 1, 1]

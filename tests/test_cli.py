@@ -286,6 +286,22 @@ class TestExperiment:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_failed_shape_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments import table1
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            table1,
+            "shape_checks",
+            lambda rows: [("holds", True), ("broken claim", False)],
+        )
+        assert main(["experiment", "table1"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] broken claim" in captured.out
+        assert captured.err == "repro: shape check failed: broken claim\n"
+        written = (tmp_path / "results" / "table1.txt").read_text()
+        assert "[PASS] holds" in written
+
     def test_table3_resume_is_idempotent(self, capsys, tmp_path, monkeypatch):
         from repro.experiments import table3
 
