@@ -161,10 +161,12 @@ class InstanceParameters:
     num_external_nets: int
     max_cell_area_percent: float
 
-    def format_row(self) -> str:
-        """Fixed-width row matching the Table IV layout."""
+    def format_row(self, name_width: int = 16) -> str:
+        """Fixed-width row matching the Table IV layout, the name padded
+        to ``name_width`` (``suite.format_table`` passes its longest)."""
         return (
-            f"{self.name:<16s} {self.num_cells:>8d} {self.num_terminals:>8d} "
+            f"{self.name:<{name_width}s} {self.num_cells:>8d} "
+            f"{self.num_terminals:>8d} "
             f"{self.num_nets:>8d} {self.num_external_nets:>8d} "
             f"{self.max_cell_area_percent:>7.2f}"
         )

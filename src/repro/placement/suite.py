@@ -129,16 +129,13 @@ def build_suite(
     return suite
 
 
-TABLE_IV_HEADER = (
-    f"{'instance':<16s} {'cells':>8s} {'pads':>8s} "
-    f"{'nets':>8s} {'extnets':>8s} {'Max%':>7s}"
-)
-
-
 def format_table(suites: List[BenchmarkSuite]) -> str:
-    """Render Table IV for a list of suites."""
-    lines = [TABLE_IV_HEADER]
-    for suite in suites:
-        for row in suite.table_rows():
-            lines.append(row.format_row())
-    return "\n".join(lines)
+    """Render Table IV for a list of suites, the name column as wide as
+    its longest instance name."""
+    rows = [row for suite in suites for row in suite.table_rows()]
+    width = max([16] + [len(row.name) for row in rows])
+    header = (
+        f"{'instance':<{width}s} {'cells':>8s} {'pads':>8s} "
+        f"{'nets':>8s} {'extnets':>8s} {'Max%':>7s}"
+    )
+    return "\n".join([header] + [row.format_row(width) for row in rows])

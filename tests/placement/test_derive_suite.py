@@ -113,6 +113,15 @@ class TestSuite:
         assert "instance" in text.splitlines()[0]
         assert len(text.splitlines()) == 1 + len(suite.entries)
 
+    def test_table_columns_align_past_16_character_names(self, placed):
+        circ, placement = placed
+        suite = build_suite(circ, "d260", placement=placement)
+        assert max(len(e.instance.name) for e in suite.entries) > 16
+        lines = format_table([suite]).splitlines()
+        # Every column after the name is right-aligned at a fixed width,
+        # so aligned columns mean equally long lines.
+        assert len({len(line) for line in lines}) == 1
+
     def test_instance_lookup(self, placed):
         circ, placement = placed
         suite = build_suite(circ, "d260", placement=placement)
