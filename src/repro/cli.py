@@ -71,7 +71,6 @@ class _Experiment(NamedTuple):
 def _report(text: str, checks: Checks, sep: str = "\n\n"):
     """(report, checks): ``text`` followed by one PASS/FAIL line per
     shape check."""
-    checks = list(checks)
     lines = "\n".join(check(label, ok) for label, ok in checks)
     return text + sep + lines, checks
 
