@@ -85,11 +85,16 @@ def _per_circuit(module, studies):
     return text, [c for _, checks in reports for c in checks]
 
 
+def _difficulty(module, study):
+    """Figs. 1-2 and the multiway study: one difficulty study."""
+    return _report(format_study(study), module.shape_checks(study))
+
+
 def _figure(name: str) -> _Experiment:
     return _Experiment(
         "figures",
         lambda m, profile, rt: m.run_figure(name, profile, **rt),
-        lambda m, study: _report(format_study(study), m.shape_checks(study)),
+        _difficulty,
         name + "_{profile}",
     )
 
@@ -131,7 +136,7 @@ _EXPERIMENTS = {
     "multiway": _Experiment(
         "multiway",
         lambda m, profile, rt: m.run_multiway(profile, **rt),
-        lambda m, study: _report(study.format_table(), m.shape_checks(study)),
+        _difficulty,
         "multiway_{profile}",
     ),
     "overconstrained": _Experiment(

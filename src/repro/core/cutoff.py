@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.regimes import (
-    FixedVertexSchedule,
     find_good_solution,
     make_schedule,
     regime_fixture,
@@ -132,8 +131,6 @@ def run_cutoff_study(
     regime: str = "good",
     runs: int = 10,
     seed: int = 0,
-    schedule: Optional[FixedVertexSchedule] = None,
-    good_solution: Optional[Sequence[int]] = None,
     jobs: int = 1,
     policy=None,
     journal=None,
@@ -151,9 +148,9 @@ def run_cutoff_study(
     the cell averages rather than aborting the table.
     """
     rng = random.Random(seed)
-    if schedule is None:
-        schedule = make_schedule(graph, seed=rng.getrandbits(32))
-    if regime == "good" and good_solution is None:
+    schedule = make_schedule(graph, seed=rng.getrandbits(32))
+    good_solution = None
+    if regime == "good":
         good_solution = find_good_solution(
             graph, balance, seed=rng.getrandbits(32), jobs=jobs,
             policy=policy,

@@ -5,6 +5,9 @@ for up to ``max(starts)`` independent starts per trial; the best cut of
 the first 1, 2, 4 and 8 starts yields the four traces of each plot, and
 per-start CPU time yields the right-hand column.  Raw best cuts,
 normalized best cuts and CPU seconds are all averaged over trials.
+A k-way balance (k > 2) runs the same protocol with the direct k-way FM
+engine -- Section V's open question whether multiway partitioning is as
+affected by fixed terminals.
 
 Normalization follows the paper: in the *good* regime every percentage
 shares the same reference (the good solution's cut, since all fixtures
@@ -21,15 +24,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.regimes import (
     PAPER_PERCENTS,
-    FixedVertexSchedule,
     find_good_solution,
     make_schedule,
     regime_fixture,
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
-from repro.partition.multilevel import MultilevelConfig
-from repro.partition.multistart import multilevel_multistart
+from repro.partition.multistart import kway_multistart, multilevel_multistart
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ class DifficultyPoint:
 
 @dataclass
 class DifficultyStudy:
-    """All data behind one figure (one circuit)."""
+    """All data behind one figure (one circuit, k = ``num_parts``)."""
 
     circuit_name: str
+    num_parts: int
     percents: Sequence[float]
     starts_list: Sequence[int]
     trials: int
@@ -91,8 +93,6 @@ def run_difficulty_study(
     starts_list: Sequence[int] = (1, 2, 4, 8),
     trials: int = 5,
     seed: int = 0,
-    config: Optional[MultilevelConfig] = None,
-    schedule: Optional[FixedVertexSchedule] = None,
     regimes: Sequence[str] = ("good", "rand"),
     reference_starts: Optional[int] = None,
     jobs: int = 1,
@@ -101,10 +101,14 @@ def run_difficulty_study(
 ) -> DifficultyStudy:
     """Run the Section II experiment on one circuit.
 
+    The number of blocks k comes from ``balance``: a 2-way balance runs
+    the multilevel partitioner, a k-way one (k > 2) the direct k-way FM
+    engine, and "rand" fixtures spread their vertices over all k blocks.
+
     The paper uses 50 trials; the default here is 5 (pure-Python engine),
     which preserves every qualitative shape.  All randomness derives from
     ``seed``.  The good-regime reference is found with
-    ``reference_starts`` multilevel starts (default: at least 8, as the
+    ``reference_starts`` starts (default: at least 8, as the
     paper fixes vertices per "the best min-cut solution we could find" --
     a weak reference makes good-regime fixtures self-inconsistent).
 
@@ -124,18 +128,22 @@ def run_difficulty_study(
     max_starts = starts_list[-1]
     if reference_starts is None:
         reference_starts = max(8, max_starts)
+    num_parts = balance.num_parts
+    multistart = (
+        multilevel_multistart if num_parts == 2 else kway_multistart
+    )
     rng = random.Random(seed)
 
-    if schedule is None:
-        schedule = make_schedule(graph, percents=percents, seed=rng.getrandbits(32))
+    schedule = make_schedule(graph, seed=rng.getrandbits(32))
     good = find_good_solution(
         graph, balance, starts=reference_starts, seed=rng.getrandbits(32),
-        config=config, jobs=jobs, policy=policy,
+        jobs=jobs, policy=policy,
         checkpoint=journal.batch("reference") if journal is not None else None,
     )
 
     study = DifficultyStudy(
         circuit_name=circuit_name,
+        num_parts=num_parts,
         percents=tuple(percents),
         starts_list=tuple(starts_list),
         trials=trials,
@@ -155,14 +163,14 @@ def run_difficulty_study(
                 percent,
                 good_solution=good.parts,
                 seed=rand_fix_seed,
+                num_parts=num_parts,
             )
             best_instance = None
             for trial in range(trials):
-                batch = multilevel_multistart(
+                batch = multistart(
                     graph,
                     balance,
                     fixture=fixture,
-                    config=config,
                     num_starts=max_starts,
                     seed=rng.getrandbits(32),
                     jobs=jobs,
@@ -211,8 +219,11 @@ def run_difficulty_study(
 
 def format_study(study: DifficultyStudy) -> str:
     """Text rendering of one figure's data (six logical plots)."""
+    title = "Difficulty study"
+    if study.num_parts > 2:
+        title = f"Multiway ({study.num_parts}-way) difficulty study"
     lines = [
-        f"Difficulty study: {study.circuit_name} "
+        f"{title}: {study.circuit_name} "
         f"(good cut = {study.good_cut}, {study.trials} trials)"
     ]
     for regime in ("good", "rand"):

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.regimes import (
-    FixedVertexSchedule,
     find_good_solution,
     make_schedule,
     regime_fixture,
@@ -117,8 +116,6 @@ def run_pass_stats_study(
     regime: str = "good",
     runs: int = 20,
     seed: int = 0,
-    schedule: Optional[FixedVertexSchedule] = None,
-    good_solution: Optional[Sequence[int]] = None,
     jobs: int = 1,
     policy=None,
     journal=None,
@@ -139,8 +136,7 @@ def run_pass_stats_study(
     """
     recorder = _observe.active()
     rng = random.Random(seed)
-    if schedule is None:
-        schedule = make_schedule(graph, seed=rng.getrandbits(32))
+    schedule = make_schedule(graph, seed=rng.getrandbits(32))
     with recorder.span(
         "study.pass_stats",
         circuit=circuit_name,
@@ -148,7 +144,8 @@ def run_pass_stats_study(
         policy="lifo",
         runs=runs,
     ):
-        if regime == "good" and good_solution is None:
+        good_solution = None
+        if regime == "good":
             # The reference run's fm.run spans are quarantined under
             # their own span so trace consumers never confuse them with
             # the measured runs of a ``study.percent``.

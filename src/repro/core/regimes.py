@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
 from repro.partition.multilevel import MultilevelConfig
-from repro.partition.multistart import multilevel_multistart
+from repro.partition.multistart import kway_multistart, multilevel_multistart
 from repro.partition.solution import FREE, Bipartition
 
 PAPER_PERCENTS = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0)
@@ -39,16 +39,15 @@ class FixedVertexSchedule:
     """
 
     num_vertices: int
-    percents: Sequence[float]
     order: Sequence[int]
 
     def count_at(self, percent: float) -> int:
         """Number of vertices fixed at ``percent``.
 
         Any percentage in [0, 100] is accepted -- the incremental
-        property is a prefix property, so it holds for percentages
-        beyond the declared schedule too.  The count saturates at the
-        candidate-pool size (relevant for pad-restricted schedules).
+        property is a prefix property, so it holds for every
+        percentage.  The count saturates at the candidate-pool size
+        (relevant for pad-restricted schedules).
         """
         if not 0.0 <= percent <= 100.0:
             raise ValueError(f"percent {percent} outside [0, 100]")
@@ -63,7 +62,6 @@ class FixedVertexSchedule:
 
 def make_schedule(
     graph: Hypergraph,
-    percents: Sequence[float] = PAPER_PERCENTS,
     seed: int = 0,
     candidates: Optional[Sequence[int]] = None,
 ) -> FixedVertexSchedule:
@@ -80,7 +78,6 @@ def make_schedule(
     rng.shuffle(pool)
     return FixedVertexSchedule(
         num_vertices=graph.num_vertices,
-        percents=tuple(sorted(set(percents))),
         order=tuple(pool),
     )
 
@@ -118,7 +115,6 @@ def rand_fixture(
 def pad_schedule(
     graph: Hypergraph,
     pad_vertices: Sequence[int],
-    percents: Sequence[float] = PAPER_PERCENTS,
     seed: int = 0,
 ) -> FixedVertexSchedule:
     """Schedule restricted to identified pads.
@@ -128,9 +124,7 @@ def pad_schedule(
     the total number of pads, and we do not fix any further vertices").
     :meth:`FixedVertexSchedule.fixed_at` saturates automatically.
     """
-    return make_schedule(
-        graph, percents=percents, seed=seed, candidates=pad_vertices
-    )
+    return make_schedule(graph, seed=seed, candidates=pad_vertices)
 
 
 def find_good_solution(
@@ -138,19 +132,20 @@ def find_good_solution(
     balance: BalanceConstraint,
     starts: int = 8,
     seed: int = 0,
-    config: Optional[MultilevelConfig] = None,
     jobs: int = 1,
     policy=None,
     checkpoint=None,
 ) -> Bipartition:
-    """Best free-hypergraph solution over ``starts`` multilevel starts.
+    """Best free-hypergraph solution over ``starts`` independent starts.
 
     This is the reference the "good" regime fixes vertices against, and
     the normaliser of the good-regime traces in Figs. 1-2.  It is the
-    experiments' ground truth, not a timed measurement, so by default it
-    runs the exhaustive engine (``adaptive_stop=False``): a weaker
-    reference would shift every good-regime fixture and normalised cut
-    of Figs. 1-2 and Tables II-III.
+    experiments' ground truth, not a timed measurement, so for 2-way
+    balances it runs the exhaustive multilevel engine
+    (``adaptive_stop=False``): a weaker reference would shift every
+    good-regime fixture and normalised cut of Figs. 1-2 and Tables
+    II-III.  A balance with ``k > 2`` blocks runs the direct k-way FM
+    engine instead, and ``parts`` then holds block ids ``0..k-1``.
 
     ``policy`` (an :class:`repro.runtime.ExecutionPolicy`) and
     ``checkpoint`` (a :class:`repro.runtime.CheckpointBatch`) opt into
@@ -158,12 +153,17 @@ def find_good_solution(
     starts, so a fully-quarantined batch raises rather than silently
     anchoring the good regime to nothing.
     """
-    if config is None:
-        config = MultilevelConfig(adaptive_stop=False)
-    result = multilevel_multistart(
-        graph, balance, num_starts=starts, seed=seed, config=config,
-        jobs=jobs, policy=policy, checkpoint=checkpoint,
-    )
+    if balance.num_parts == 2:
+        result = multilevel_multistart(
+            graph, balance, num_starts=starts, seed=seed,
+            config=MultilevelConfig(adaptive_stop=False),
+            jobs=jobs, policy=policy, checkpoint=checkpoint,
+        )
+    else:
+        result = kway_multistart(
+            graph, balance, num_starts=starts, seed=seed,
+            jobs=jobs, policy=policy, checkpoint=checkpoint,
+        )
     best = result.best()
     return Bipartition(parts=best.parts, cut=best.cut)
 
@@ -174,12 +174,17 @@ def regime_fixture(
     percent: float,
     good_solution: Optional[Sequence[int]] = None,
     seed: int = 0,
+    num_parts: int = 2,
 ) -> List[int]:
-    """Dispatch on the regime name ("good" or "rand")."""
+    """Dispatch on the regime name ("good" or "rand").
+
+    ``num_parts`` is the number of blocks a "rand" fixture spreads its
+    vertices over.
+    """
     if regime == "good":
         if good_solution is None:
             raise ValueError("good regime needs a reference solution")
         return good_fixture(schedule, percent, good_solution)
     if regime == "rand":
-        return rand_fixture(schedule, percent, seed=seed)
+        return rand_fixture(schedule, percent, seed=seed, num_parts=num_parts)
     raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")

@@ -2,235 +2,24 @@
 terminals?
 
 Section V, open question 1: "determining whether multiway partitioning
-is as affected by fixed terminals".  This experiment repeats the
-Section II protocol with the direct k-way FM engine (k = 4): fix
-growing fractions of vertices either consistently with a good free
-4-way solution or at random, run 1..N starts, and examine whether the
+is as affected by fixed terminals".  This experiment runs the Section
+II driver, :func:`repro.core.difficulty.run_difficulty_study`, under a
+4-way balance, so the direct k-way FM engine partitions: fix growing
+fractions of vertices either consistently with a good free 4-way
+solution or at random, run 1..N starts, and examine whether the
 multistart gap collapses and runtime falls just as in the 2-way case.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.core.regimes import (
-    FixedVertexSchedule,
-    make_schedule,
-    regime_fixture,
-)
+from repro.core.difficulty import DifficultyStudy, run_difficulty_study
 from repro.experiments.circuits import load_circuit
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.partition.balance import BalanceConstraint, relative_balance
-from repro.partition.multistart import kway_multistart
+from repro.partition.balance import relative_balance
 
 
-@dataclass(frozen=True)
-class MultiwayPoint:
-    """One (regime, percent, starts) point of the k-way study."""
-
-    regime: str
-    percent: float
-    starts: int
-    raw_cut: float
-    normalized_cut: float
-    cpu_seconds: float
-
-
-@dataclass
-class MultiwayStudy:
-    """The k-way analogue of a Figs. 1-2 study."""
-
-    circuit_name: str
-    num_parts: int
-    percents: Sequence[float]
-    starts_list: Sequence[int]
-    trials: int
-    good_cut: int
-    points: List[MultiwayPoint] = field(default_factory=list)
-
-    def point(
-        self, regime: str, percent: float, starts: int
-    ) -> MultiwayPoint:
-        """Look up one point."""
-        for p in self.points:
-            if (
-                p.regime == regime
-                and p.percent == percent
-                and p.starts == starts
-            ):
-                return p
-        raise KeyError((regime, percent, starts))
-
-    def format_table(self) -> str:
-        """Text rendering."""
-        lines = [
-            f"Multiway ({self.num_parts}-way) difficulty study: "
-            f"{self.circuit_name} (good cut = {self.good_cut}, "
-            f"{self.trials} trials)"
-        ]
-        for regime in ("good", "rand"):
-            lines.append(f"-- regime: {regime}")
-            lines.append(
-                f"{'fixed%':>7s} "
-                + " ".join(
-                    f"{f'raw@{s}':>9s} {f'norm@{s}':>8s} {f'cpu@{s}':>8s}"
-                    for s in self.starts_list
-                )
-            )
-            for percent in self.percents:
-                row = [f"{percent:>7.1f}"]
-                for starts in self.starts_list:
-                    p = self.point(regime, percent, starts)
-                    row.append(
-                        f"{p.raw_cut:>9.1f} {p.normalized_cut:>8.3f} "
-                        f"{p.cpu_seconds:>8.3f}"
-                    )
-                lines.append(" ".join(row))
-        return "\n".join(lines)
-
-
-def _find_good_kway(
-    graph: Hypergraph,
-    balance: BalanceConstraint,
-    starts: int,
-    seed: int,
-    jobs: int = 1,
-    policy=None,
-    checkpoint=None,
-) -> Tuple[List[int], int]:
-    batch = kway_multistart(
-        graph, balance, num_starts=starts, seed=seed, jobs=jobs,
-        policy=policy, checkpoint=checkpoint,
-    )
-    best = batch.best()
-    return best.parts, best.cut
-
-
-def run_multiway_study(
-    graph: Hypergraph,
-    num_parts: int = 4,
-    tolerance: float = 0.1,
-    circuit_name: str = "circuit",
-    percents: Sequence[float] = (0.0, 5.0, 20.0, 40.0),
-    starts_list: Sequence[int] = (1, 2, 4),
-    trials: int = 3,
-    seed: int = 0,
-    schedule: FixedVertexSchedule = None,
-    jobs: int = 1,
-    policy=None,
-    journal=None,
-) -> MultiwayStudy:
-    """Run the multiway difficulty study on one circuit.
-
-    ``jobs > 1`` fans the independent k-way starts of every trial over a
-    process pool; cuts are identical to the serial run and the CPU
-    column is per-start ``time.process_time``.  ``policy``/``journal``
-    opt into the fault-tolerant runtime (``docs/robustness.md``).
-    """
-    if not starts_list or sorted(starts_list) != list(starts_list):
-        raise ValueError("starts_list must be non-empty and ascending")
-    balance = relative_balance(graph.total_area, num_parts, tolerance)
-    rng = random.Random(seed)
-    if schedule is None:
-        schedule = make_schedule(graph, seed=rng.getrandbits(32))
-    good_parts, good_cut = _find_good_kway(
-        graph, balance, starts_list[-1], rng.getrandbits(32), jobs=jobs,
-        policy=policy,
-        checkpoint=journal.batch("reference") if journal is not None else None,
-    )
-
-    study = MultiwayStudy(
-        circuit_name=circuit_name,
-        num_parts=num_parts,
-        percents=tuple(percents),
-        starts_list=tuple(starts_list),
-        trials=trials,
-        good_cut=good_cut,
-    )
-    rand_fix_seed = rng.getrandbits(32)
-    max_starts = starts_list[-1]
-
-    cuts: Dict[Tuple[str, float, int], List[int]] = {}
-    secs: Dict[Tuple[str, float, int], List[float]] = {}
-    best_seen: Dict[Tuple[str, float], int] = {}
-    for regime in ("good", "rand"):
-        for percent in percents:
-            fixture = regime_fixture(
-                regime,
-                schedule,
-                percent,
-                good_solution=good_parts,
-                seed=rand_fix_seed,
-            )
-            # rand regime spreads vertices over all k blocks.
-            if regime == "rand":
-                fixture = [
-                    f
-                    if f == -1
-                    else random.Random(
-                        f"{rand_fix_seed}:{v}:k"
-                    ).randrange(num_parts)
-                    for v, f in enumerate(fixture)
-                ]
-            for trial in range(trials):
-                start_seeds = [
-                    rng.getrandbits(32) for _ in range(max_starts)
-                ]
-                batch = kway_multistart(
-                    graph,
-                    balance,
-                    fixture=fixture,
-                    num_starts=max_starts,
-                    seeds=start_seeds,
-                    jobs=jobs,
-                    policy=policy,
-                    checkpoint=(
-                        journal.batch(
-                            f"multiway:{regime}:{percent}:trial{trial}"
-                        )
-                        if journal is not None
-                        else None
-                    ),
-                )
-                for starts in starts_list:
-                    key = (regime, percent, starts)
-                    cuts.setdefault(key, []).append(
-                        batch.best_of_first(starts).cut
-                    )
-                    secs.setdefault(key, []).append(
-                        batch.cpu_seconds_of_first(starts)
-                    )
-                seen_key = (regime, percent)
-                best = batch.best().cut
-                if seen_key not in best_seen or best < best_seen[seen_key]:
-                    best_seen[seen_key] = best
-
-    for regime in ("good", "rand"):
-        for percent in percents:
-            reference = (
-                max(1, good_cut)
-                if regime == "good"
-                else max(1, best_seen[(regime, percent)])
-            )
-            for starts in starts_list:
-                key = (regime, percent, starts)
-                raw = sum(cuts[key]) / len(cuts[key])
-                study.points.append(
-                    MultiwayPoint(
-                        regime=regime,
-                        percent=percent,
-                        starts=starts,
-                        raw_cut=raw,
-                        normalized_cut=raw / reference,
-                        cpu_seconds=sum(secs[key]) / len(secs[key]),
-                    )
-                )
-    return study
-
-
-def shape_checks(study: MultiwayStudy) -> List[Tuple[str, bool]]:
+def shape_checks(study: DifficultyStudy) -> List[Tuple[str, bool]]:
     """Does the 2-way story survive at k-way?"""
     one = study.starts_list[0]
     many = study.starts_list[-1]
@@ -289,18 +78,28 @@ def run_multiway(
     jobs: int = 1,
     policy=None,
     journal=None,
-) -> MultiwayStudy:
-    """Run the k-way study at one profile (``repro experiment multiway``)."""
+) -> DifficultyStudy:
+    """Run the k-way study at one profile (``repro experiment multiway``).
+
+    ``jobs > 1`` fans the independent k-way starts of every trial over a
+    process pool; cuts are identical to the serial run and the CPU
+    column is per-start ``time.process_time``.  ``policy``/``journal``
+    opt into the fault-tolerant runtime (``docs/robustness.md``).
+    """
     if profile not in PROFILE_SETTINGS:
         raise KeyError(f"unknown profile {profile!r}")
     settings = PROFILE_SETTINGS[profile]
-    circuit = load_circuit(settings["circuit"])
-    return run_multiway_study(
-        circuit.graph,
+    graph = load_circuit(settings["circuit"]).graph
+    starts = settings["starts"]
+    return run_difficulty_study(
+        graph,
+        relative_balance(graph.total_area, 4, 0.1),
         circuit_name=settings["circuit"],
+        percents=(0.0, 5.0, 20.0, 40.0),
+        starts_list=starts,
         trials=settings["trials"],
-        starts_list=settings["starts"],
         seed=seed,
+        reference_starts=starts[-1],
         jobs=jobs,
         policy=policy,
         journal=journal,

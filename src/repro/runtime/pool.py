@@ -46,6 +46,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Union,
 )
 
@@ -401,6 +402,11 @@ def _pool_run(
     requeue the lost items (counting an attempt only against the items
     actually implicated), and respawn; repeated barren respawns degrade
     to the serial path.
+
+    A crash with one item in flight implicates that item.  A pool that
+    breaks with several in flight cannot name the killer, so none of
+    them is charged: each becomes a *suspect* and runs alone until it
+    completes or crashes by itself.
     """
     recorder = observe.active()
     observed = recorder.enabled
@@ -413,6 +419,7 @@ def _pool_run(
     # in index order -- the merged span sequence then matches what a
     # serial run records, whatever order the pool finished items in.
     fragments: Dict[int, dict] = {}
+    suspects: Set[int] = set()
     completed_since_spawn = 0
     barren_spawns = 0
 
@@ -473,6 +480,11 @@ def _pool_run(
 
         try:
             while queue and len(in_flight) < jobs:
+                if suspects and in_flight and (
+                    queue[0] in suspects
+                    or not suspects.isdisjoint(in_flight.values())
+                ):
+                    break  # a suspect runs alone
                 i = queue.popleft()
                 future = pool.submit(_run_item, i, items[i])
                 in_flight[future] = i
@@ -492,6 +504,7 @@ def _pool_run(
 
         # Harvest everything that finished (the wait() set may lag).
         crash: Optional[BrokenProcessPool] = None
+        lost: List[int] = []
         for future in [f for f in in_flight if f.done()]:
             i = in_flight.pop(future)
             deadlines.pop(future, None)
@@ -499,15 +512,7 @@ def _pool_run(
                 value = future.result()
             except BrokenProcessPool as exc:
                 crash = exc
-                fault = WorkerCrash(
-                    f"worker died while running item {i} "
-                    f"(attempt {attempts[i] + 1}): {exc}",
-                    index=i,
-                    seed=seed_of(items[i]),
-                    attempt=attempts[i] + 1,
-                )
-                fault.__cause__ = exc
-                retire(i, fault)
+                lost.append(i)
                 continue
             except Exception as exc:  # noqa: BLE001 - task-level error
                 if policy.quarantine:
@@ -521,6 +526,7 @@ def _pool_run(
                 fragments[i] = value.fragment
                 value = value.value
             results[i] = value
+            suspects.discard(i)
             completed_since_spawn += 1
             if observed:
                 recorder.count("pool.items_executed")
@@ -528,25 +534,38 @@ def _pool_run(
                 checkpoint.record(i, items[i], value)
 
         if crash is not None:
-            # Every other in-flight item died with the pool; they are
-            # lost, not implicated, so they are requeued with an
-            # attempt charged (any of them may be the killer -- a
-            # persistent one exhausts its own budget).
-            for future, i in list(in_flight.items()):
+            # Every other in-flight item died with the pool too.
+            lost.extend(in_flight.values())
+            if len(lost) == 1:
+                i = lost[0]
+                suspects.discard(i)
                 fault = WorkerCrash(
-                    f"worker pool collapsed while item {i} was in "
-                    f"flight (attempt {attempts[i] + 1}): {crash}",
+                    f"worker died while running item {i} "
+                    f"(attempt {attempts[i] + 1}): {crash}",
                     index=i,
                     seed=seed_of(items[i]),
                     attempt=attempts[i] + 1,
                 )
                 fault.__cause__ = crash
                 retire(i, fault)
+            else:
+                # Any of them may be the killer: requeue them all
+                # uncharged, to run alone until each is cleared or
+                # crashes by itself.
+                if observed:
+                    recorder.count("pool.worker_crashes")
+                    recorder.count("pool.retries", len(lost))
+                suspects.update(lost)
+                queue.extend(lost)
             in_flight.clear()
             deadlines.clear()
             _terminate_pool(pool)
             pool = None
-            if completed_since_spawn == 0:
+            # A lone crash is its item's fault, not the pool's, so only
+            # an unattributed collapse can make a spawn barren.
+            if completed_since_spawn:
+                barren_spawns = 0
+            elif len(lost) > 1:
                 barren_spawns += 1
                 if barren_spawns >= policy.max_attempts:
                     fallback_serial(
@@ -554,8 +573,6 @@ def _pool_run(
                         "without completing any item", crash,
                     )
                     return
-            else:
-                barren_spawns = 0
             time.sleep(retry_delay(barren_spawns + 1))
             continue
 

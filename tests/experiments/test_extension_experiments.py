@@ -6,9 +6,10 @@ suite runs the real profiles and asserts the shapes.
 
 import pytest
 
-from repro.experiments.multiway import (
-    MultiwayStudy,
-    run_multiway_study,
+from repro.core.difficulty import (
+    DifficultyStudy,
+    format_study,
+    run_difficulty_study,
 )
 from repro.experiments.overconstrained import (
     OverconstrainedReport,
@@ -18,16 +19,19 @@ from repro.experiments.suite_solutions import (
     solve_suite,
 )
 from repro.hypergraph import CircuitSpec, generate_circuit
+from repro.partition.balance import relative_balance
 from repro.placement import build_suite
 
 
 class TestMultiwayHarness:
+    """The Section II driver under a 3-way balance (k-way FM engine)."""
+
     @pytest.fixture(scope="class")
     def study(self):
         circ = generate_circuit(CircuitSpec(num_cells=150), seed=121)
-        return run_multiway_study(
+        return run_difficulty_study(
             circ.graph,
-            num_parts=3,
+            relative_balance(circ.graph.total_area, 3, 0.1),
             circuit_name="m150",
             percents=(0.0, 20.0),
             starts_list=(1, 2),
@@ -36,7 +40,8 @@ class TestMultiwayHarness:
         )
 
     def test_points_complete(self, study):
-        assert isinstance(study, MultiwayStudy)
+        assert isinstance(study, DifficultyStudy)
+        assert study.num_parts == 3
         assert len(study.points) == 2 * 2 * 2
         study.point("good", 20.0, 2)
         with pytest.raises(KeyError):
@@ -50,14 +55,15 @@ class TestMultiwayHarness:
                 assert two.raw_cut <= one.raw_cut + 1e-9
 
     def test_format(self, study):
-        text = study.format_table()
+        text = format_study(study)
         assert "3-way" in text
         assert "regime: rand" in text
 
     def test_bad_starts_list(self):
         circ = generate_circuit(CircuitSpec(num_cells=60), seed=122)
+        balance = relative_balance(circ.graph.total_area, 3, 0.1)
         with pytest.raises(ValueError):
-            run_multiway_study(circ.graph, starts_list=(2, 1))
+            run_difficulty_study(circ.graph, balance, starts_list=(2, 1))
 
 
 class TestOverconstrainedReport:

@@ -6,15 +6,16 @@ regression in the checks themselves cannot silently pass bad data.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.cutoff import CutoffCell, CutoffStudy
 from repro.core.difficulty import DifficultyPoint, DifficultyStudy
 from repro.core.pass_stats import PassStatsRow, PassStatsStudy
 from repro.experiments.ablations import Ablations
 from repro.experiments.ablations import shape_checks as ablation_checks
 from repro.experiments.figures import shape_checks as figure_checks
-from repro.experiments.multiway import MultiwayPoint, MultiwayStudy
 from repro.experiments.multiway import shape_checks as multiway_checks
 from repro.experiments.overconstrained import OverconstrainedReport
 from repro.experiments.overconstrained import (
@@ -23,12 +24,16 @@ from repro.experiments.overconstrained import (
 from repro.experiments.suite_solutions import SolutionRow, SolutionTable
 from repro.experiments.suite_solutions import shape_checks as suite_checks
 from repro.experiments.table2 import shape_checks as table2_checks
+from repro.experiments.table3 import shape_checks as table3_checks
+from repro.experiments.table4 import shape_checks as table4_checks
+from repro.placement.suite import BenchmarkSuite
 
 
 def build_difficulty_study(rand_growth=6.0, gaps=(0.2, 0.05), cpu=(0.5, 0.1)):
     """A two-percent, two-start study with controllable shapes."""
     study = DifficultyStudy(
         circuit_name="synthetic",
+        num_parts=2,
         percents=(0.0, 40.0),
         starts_list=(1, 4),
         trials=3,
@@ -207,9 +212,106 @@ class TestAblationChecks:
         assert sum(not ok for _, ok in checks) == 1
 
 
+def build_cutoff_study(changes=None):
+    """Table III with an uncut and a 10% column at 0% and 30% fixed.
+
+    ``changes`` maps ``(percent, cutoff)`` to the cell fields to
+    override."""
+    changes = changes or {}
+    healthy = {
+        (0.0, 1.0): dict(avg_cut=100.0, avg_seconds=1.0, avg_moves=1000.0),
+        (0.0, 0.1): dict(avg_cut=130.0, avg_seconds=0.5, avg_moves=300.0),
+        (30.0, 1.0): dict(avg_cut=100.0, avg_seconds=1.0, avg_moves=800.0),
+        (30.0, 0.1): dict(avg_cut=102.0, avg_seconds=0.5, avg_moves=250.0),
+    }
+    study = CutoffStudy(
+        circuit_name="synthetic",
+        regime="good",
+        cutoffs=(1.0, 0.1),
+        percents=(0.0, 30.0),
+    )
+    for (percent, cutoff), fields in healthy.items():
+        fields = {**fields, **changes.get((percent, cutoff), {})}
+        study.cells.append(CutoffCell(percent=percent, cutoff=cutoff, **fields))
+    return study
+
+
+class TestTable3Checks:
+    def test_healthy_passes(self):
+        assert all(ok for _, ok in table3_checks(build_cutoff_study()))
+
+    @pytest.mark.parametrize(
+        "changes, fragment",
+        [
+            ({(0.0, 0.1): {"avg_cut": 105.0}}, "degrades cut"),
+            ({(30.0, 0.1): {"avg_cut": 140.0}}, "much safer"),
+            ({(30.0, 0.1): {"avg_seconds": 1.5}}, "reduce runtime"),
+            ({(0.0, 0.1): {"avg_moves": 1200.0}}, "total moves"),
+        ],
+    )
+    def test_broken_claim_fails(self, changes, fragment):
+        checks = table3_checks(build_cutoff_study(changes))
+        assert len(_failing(checks, fragment)) == 1
+        assert sum(not ok for _, ok in checks) == 1
+
+
+def build_suite_standin(changes=None):
+    """One stand-in Table IV suite: a level-1 and a level-2 instance.
+
+    ``changes`` maps an instance name to the fields to override
+    (``cells``, ``terminals``, ``external``, ``fixed``)."""
+    changes = changes or {}
+    healthy = {
+        "synthetic_L1": dict(cells=1000, terminals=200, external=200),
+        "synthetic_L2": dict(cells=200, terminals=100, external=100),
+    }
+    entries = []
+    for level, (name, fields) in enumerate(healthy.items(), start=1):
+        fields = {**fields, **changes.get(name, {})}
+        entries.append(
+            SimpleNamespace(
+                path=(0,) * level,
+                instance=SimpleNamespace(
+                    name=name,
+                    num_fixed=fields.get("fixed", fields["terminals"]),
+                ),
+                parameters=SimpleNamespace(
+                    num_cells=fields["cells"],
+                    num_terminals=fields["terminals"],
+                    num_external_nets=fields["external"],
+                ),
+            )
+        )
+    return [
+        BenchmarkSuite(circuit_name="synthetic", placement=None, entries=entries)
+    ]
+
+
+class TestTable4Checks:
+    def test_healthy_passes(self):
+        assert all(ok for _, ok in table4_checks(build_suite_standin()))
+
+    @pytest.mark.parametrize(
+        "changes, fragment",
+        [
+            ({"synthetic_L2": {"terminals": 450}}, "pad vertices"),
+            ({"synthetic_L2": {"cells": 1000}}, "block depth"),
+            (
+                {"synthetic_L2": {"terminals": 300, "external": 300}},
+                "synthetic_L2: external nets",
+            ),
+            ({"synthetic_L1": {"fixed": 199}}, "exactly the terminals"),
+        ],
+    )
+    def test_broken_claim_fails(self, changes, fragment):
+        checks = table4_checks(build_suite_standin(changes))
+        assert len(_failing(checks, fragment)) == 1
+        assert sum(not ok for _, ok in checks) == 1
+
+
 def build_multiway(rand_raw=(100.0, 300.0), gaps=(0.2, 0.05), cpu=(0.5, 0.1)):
     """A two-percent, two-start k-way study with controllable shapes."""
-    study = MultiwayStudy(
+    study = DifficultyStudy(
         circuit_name="synthetic",
         num_parts=4,
         percents=(0.0, 40.0),
@@ -222,7 +324,7 @@ def build_multiway(rand_raw=(100.0, 300.0), gaps=(0.2, 0.05), cpu=(0.5, 0.1)):
             raw = rand_raw[i] if regime == "rand" else 100.0
             for starts, norm in ((1, 1.0 + gaps[i]), (4, 1.0)):
                 study.points.append(
-                    MultiwayPoint(
+                    DifficultyPoint(
                         regime=regime,
                         percent=percent,
                         starts=starts,

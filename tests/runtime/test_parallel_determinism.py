@@ -97,9 +97,17 @@ class TestMultistartDeterminism:
 
 
 class TestHarnessDeterminism:
-    def test_difficulty_study_jobs_invariant(self, tiny_circuit, tiny_balance):
+    @pytest.mark.parametrize("num_parts", [2, 4], ids=["2-way", "4-way"])
+    def test_difficulty_study_jobs_invariant(
+        self, tiny_circuit, tiny_balance, num_parts
+    ):
         from repro.core.difficulty import run_difficulty_study
 
+        balance = tiny_balance
+        if num_parts > 2:
+            balance = relative_balance(
+                tiny_circuit.graph.total_area, num_parts, 0.1
+            )
         kwargs = dict(
             percents=(0.0, 20.0),
             starts_list=(1, 2),
@@ -107,11 +115,12 @@ class TestHarnessDeterminism:
             seed=3,
         )
         serial = run_difficulty_study(
-            tiny_circuit.graph, tiny_balance, jobs=1, **kwargs
+            tiny_circuit.graph, balance, jobs=1, **kwargs
         )
         parallel = run_difficulty_study(
-            tiny_circuit.graph, tiny_balance, jobs=2, **kwargs
+            tiny_circuit.graph, balance, jobs=2, **kwargs
         )
+        assert serial.num_parts == num_parts
         assert serial.good_cut == parallel.good_cut
         for s, p in zip(serial.points, parallel.points):
             assert (s.regime, s.percent, s.starts) == (

@@ -71,6 +71,21 @@ class TestCrashRecovery:
         assert "WorkerCrash" in row.reason
         assert out[1:] == [1, 4, 9]
 
+    def test_collapse_charges_only_the_lone_crasher(self):
+        # Item 0 kills its worker on every attempt while item 1 sleeps
+        # beside it.  The collapse cannot name the killer, so neither is
+        # charged; run alone, item 1 completes and item 0 crashes by
+        # itself -- only item 0 may exhaust its budget.
+        plan = FaultPlan(crash_on=(0,), sleep_on={1: 0.3})
+        policy = ExecutionPolicy(max_attempts=2, quarantine=True)
+        with pytest.warns(QuarantineWarning, match="item 0"):
+            out = parallel_map(
+                _square, [0, 1, 2, 3], jobs=2, policy=policy, faults=plan
+            )
+        assert isinstance(out[0], Quarantined)
+        assert out[0].attempts == 2
+        assert out[1:] == [1, 4, 9]
+
 
 class TestTimeouts:
     def test_hung_item_is_reclaimed_and_retried(self, tmp_path):
