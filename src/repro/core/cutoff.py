@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.regimes import (
     find_good_solution,
@@ -122,6 +122,48 @@ class CutoffStudy:
         return "\n".join(lines)
 
 
+class _CutoffGridTask:
+    """Every run of one study: item ``(percent_index, cutoff_index,
+    init_seed)`` (picklable).
+
+    Ships the graph, balance, per-percent fixtures and cutoffs to each
+    worker once.  The :class:`_CutoffRunTask` of the last cell a process
+    ran is cached, so a run of items from one cell builds its FM engine
+    once; the cache never crosses the pickle boundary.
+    """
+
+    def __init__(
+        self,
+        graph: Hypergraph,
+        balance: BalanceConstraint,
+        fixtures: Sequence[Sequence[int]],
+        cutoffs: Sequence[float],
+    ) -> None:
+        self.graph = graph
+        self.balance = balance
+        self.fixtures = [list(f) for f in fixtures]
+        self.cutoffs = tuple(cutoffs)
+        self._cell: Optional[Tuple[int, int]] = None
+        self._run: Optional[_CutoffRunTask] = None
+
+    def __getstate__(self):
+        return (self.graph, self.balance, self.fixtures, self.cutoffs)
+
+    def __setstate__(self, state):
+        self.graph, self.balance, self.fixtures, self.cutoffs = state
+        self._cell = None
+        self._run = None
+
+    def __call__(self, item: Tuple[int, int, int]):
+        p, c, init_seed = item
+        if self._cell != (p, c):
+            self._run = _CutoffRunTask(
+                self.graph, self.balance, self.fixtures[p], self.cutoffs[c]
+            )
+            self._cell = (p, c)
+        return self._run(init_seed)
+
+
 def run_cutoff_study(
     graph: Hypergraph,
     balance: BalanceConstraint,
@@ -139,8 +181,12 @@ def run_cutoff_study(
 
     All cutoffs share the same per-run initial solutions so the columns
     are paired samples -- differences come from the cutoff alone.
-    ``jobs > 1`` fans the runs of each column over a process pool; cuts
-    and CPU seconds are identical to the serial run.
+    The whole ``percents x cutoffs x runs`` grid is one ``parallel_map``
+    (after the good regime's reference search), submitted heaviest cell
+    first: uncut columns first, then fewest fixed vertices, so the
+    longest runs do not end the map on an idle worker.  ``jobs > 1``
+    fans it over a process pool; cuts and moves are identical to the
+    serial run.
 
     ``policy`` (an :class:`repro.runtime.ExecutionPolicy`) and ``journal``
     (a :class:`repro.runtime.CheckpointJournal` or namespace view) opt
@@ -160,40 +206,54 @@ def run_cutoff_study(
         ).parts
     rand_fix_seed = rng.getrandbits(32)
 
+    fixtures = []
+    grid: List[Tuple[int, int, int]] = []
+    for p, percent in enumerate(percents):
+        fixtures.append(
+            regime_fixture(
+                regime,
+                schedule,
+                percent,
+                good_solution=good_solution,
+                seed=rand_fix_seed,
+            )
+        )
+        init_seeds = [rng.getrandbits(32) for _ in range(runs)]
+        grid.extend((p, c, s) for c in range(len(cutoffs)) for s in init_seeds)
+
+    order = sorted(
+        range(len(grid)),
+        key=lambda i: (-cutoffs[grid[i][1]], percents[grid[i][0]]),
+    )
+    outcomes = parallel_map(
+        _CutoffGridTask(graph, balance, fixtures, cutoffs),
+        [grid[i] for i in order],
+        jobs=jobs,
+        policy=policy,
+        checkpoint=journal.batch("cutoff") if journal is not None else None,
+    )
+    by_run: List[object] = [None] * len(grid)
+    for i, outcome in zip(order, outcomes):
+        by_run[i] = outcome
+
     study = CutoffStudy(
         circuit_name=circuit_name,
         regime=regime,
         cutoffs=tuple(cutoffs),
         percents=tuple(percents),
     )
-    for percent in percents:
-        fixture = regime_fixture(
-            regime,
-            schedule,
-            percent,
-            good_solution=good_solution,
-            seed=rand_fix_seed,
-        )
-        init_seeds = [rng.getrandbits(32) for _ in range(runs)]
-        for cutoff in cutoffs:
-            task = _CutoffRunTask(graph, balance, fixture, cutoff)
-            outcomes = parallel_map(
-                task,
-                init_seeds,
-                jobs=jobs,
-                policy=policy,
-                checkpoint=(
-                    journal.batch(f"cutoff:{percent}:{cutoff}")
-                    if journal is not None
-                    else None
-                ),
-            )
-            outcomes = [o for o in outcomes if not isinstance(o, Quarantined)]
+    for p, percent in enumerate(percents):
+        for c, cutoff in enumerate(cutoffs):
+            first = (p * len(cutoffs) + c) * runs
+            cell = [
+                o for o in by_run[first:first + runs]
+                if not isinstance(o, Quarantined)
+            ]
             cuts: List[int] = []
             seconds: List[float] = []
             cpu_seconds: List[float] = []
             moves: List[int] = []
-            for cut, secs, cpu, total_moves in outcomes:
+            for cut, secs, cpu, total_moves in cell:
                 cuts.append(cut)
                 seconds.append(secs)
                 cpu_seconds.append(cpu)

@@ -124,13 +124,15 @@ def total_cost(
 
 @dataclass
 class Bipartition:
-    """A 2-way solution with its cut value.
+    """A partition with its cut value.
 
-    ``parts[v]`` is 0 or 1.  ``cut`` is the weighted net cut (or, from
-    an FM run under a :class:`NetCostModel`, that model's objective);
-    callers may trust it only if they obtained the object from an engine
-    in this package (engines maintain it incrementally and re-verify in
-    tests).
+    ``parts[v]`` is the block of vertex ``v``: 0 or 1 from the 2-way
+    engines, ``0..k-1`` from a k-way reference
+    (:func:`repro.core.regimes.find_good_solution` under a ``k``-block
+    balance).  ``cut`` is the weighted net cut (or, from an FM run under
+    a :class:`NetCostModel`, that model's objective); callers may trust
+    it only if they obtained the object from an engine in this package
+    (engines maintain it incrementally and re-verify in tests).
     """
 
     parts: List[int]

@@ -12,7 +12,12 @@ from repro.core import (
     regime_fixture,
 )
 from repro.hypergraph import CircuitSpec, generate_circuit
-from repro.partition import FREE, relative_bipartition_balance
+from repro.partition import (
+    FREE,
+    cut_size,
+    relative_balance,
+    relative_bipartition_balance,
+)
 
 
 def _num_fixed(fixture):
@@ -120,3 +125,10 @@ class TestFindGoodSolution:
         one = find_good_solution(circuit.graph, balance, starts=1, seed=2)
         four = find_good_solution(circuit.graph, balance, starts=4, seed=2)
         assert four.cut <= one.cut
+
+    def test_kway_balance_returns_block_ids(self, circuit):
+        balance = relative_balance(circuit.graph.total_area, 3, 0.1)
+        good = find_good_solution(circuit.graph, balance, starts=2, seed=3)
+        assert len(good.parts) == circuit.graph.num_vertices
+        assert set(good.parts) <= set(range(3))
+        assert cut_size(circuit.graph, good.parts) == good.cut
