@@ -10,47 +10,14 @@ prefix occurs earlier -- ever more of each pass is wasted work.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.core.regimes import (
-    find_good_solution,
-    make_schedule,
-    regime_fixture,
-)
+from repro.core.cutoff import run_flat_grid
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
-from repro.partition.fm import FMConfig, PassRecord
-from repro.partition.multistart import FlatFMStartTask
-from repro.runtime import Quarantined, parallel_map
+from repro.partition.fm import PassRecord
 from repro.runtime.observe import recorder as _observe
-
-
-class _PassStatsRunTask(FlatFMStartTask):
-    """One random-start LIFO-FM run per init seed (picklable for pools).
-
-    Returns ``(num_passes, final_cut, pass_records)`` -- everything the
-    aggregation needs, without shipping the parts vector back.
-    """
-
-    def __init__(
-        self,
-        graph: Hypergraph,
-        balance: BalanceConstraint,
-        fixture: Sequence[int],
-    ) -> None:
-        super().__init__(graph, balance, fixture, FMConfig(policy="lifo"))
-
-    def __call__(
-        self, init_seed: int
-    ) -> Tuple[int, int, Tuple[PassRecord, ...]]:
-        result = self.engine.run(self.initial(init_seed))
-        return (
-            result.num_passes,
-            result.solution.cut,
-            tuple(result.passes),
-        )
 
 
 @dataclass(frozen=True)
@@ -120,7 +87,8 @@ def run_pass_stats_study(
     policy=None,
     journal=None,
 ) -> PassStatsStudy:
-    """Run Table II's measurement.
+    """Run Table II's measurement: the uncut column of
+    :func:`repro.core.cutoff.run_flat_grid`, one row per percent.
 
     Per-pass percentages exclude the first pass of each run ("excluding
     the first pass"), which always moves many vertices because it starts
@@ -132,77 +100,37 @@ def run_pass_stats_study(
     ``policy`` (an :class:`repro.runtime.ExecutionPolicy`) and ``journal``
     (a :class:`repro.runtime.CheckpointJournal` or namespace view) opt
     into the fault-tolerant runtime; quarantined runs are dropped from
-    the averages rather than aborting the table.
+    the averages, and a percent with no healthy run left raises
+    :class:`RuntimeError` rather than print a row of zeros.
     """
-    recorder = _observe.active()
-    rng = random.Random(seed)
-    schedule = make_schedule(graph, seed=rng.getrandbits(32))
-    with recorder.span(
+    with _observe.active().span(
         "study.pass_stats",
         circuit=circuit_name,
         regime=regime,
         policy="lifo",
         runs=runs,
+        percents=list(percents),
     ):
-        good_solution = None
-        if regime == "good":
-            # The reference run's fm.run spans are quarantined under
-            # their own span so trace consumers never confuse them with
-            # the measured runs of a ``study.percent``.
-            with recorder.span("study.reference"):
-                good_solution = find_good_solution(
-                    graph, balance, seed=rng.getrandbits(32), jobs=jobs,
-                    policy=policy,
-                    checkpoint=(
-                        journal.batch("reference")
-                        if journal is not None
-                        else None
-                    ),
-                ).parts
-        rand_fix_seed = rng.getrandbits(32)
-
-        study = PassStatsStudy(circuit_name=circuit_name, regime=regime)
-        for percent in percents:
-            fixture = regime_fixture(
-                regime,
-                schedule,
-                percent,
-                good_solution=good_solution,
-                seed=rand_fix_seed,
-            )
-            task = _PassStatsRunTask(graph, balance, fixture)
-            init_seeds = [rng.getrandbits(32) for _ in range(runs)]
-            with recorder.span(
-                "study.percent", percent=percent, runs=runs
-            ):
-                outcomes = parallel_map(
-                    task,
-                    init_seeds,
-                    jobs=jobs,
-                    policy=policy,
-                    checkpoint=(
-                        journal.batch(f"pass_stats:{percent}")
-                        if journal is not None
-                        else None
-                    ),
-                )
-            study.rows.append(
-                pass_stats_row(
-                    percent,
-                    runs,
-                    [o for o in outcomes if not isinstance(o, Quarantined)],
-                )
-            )
+        cells = run_flat_grid(
+            graph, balance, percents, (1.0,), regime=regime, runs=runs,
+            seed=seed, jobs=jobs, policy=policy, journal=journal,
+        )
+    study = PassStatsStudy(circuit_name=circuit_name, regime=regime)
+    for percent in percents:
+        uncut = cells[(percent, 1.0)]
+        study.rows.append(
+            pass_stats_row(percent, runs, [(r.cut, r.passes) for r in uncut])
+        )
     return study
 
 
 def pass_stats_row(
     percent: float,
     runs: int,
-    outcomes: Iterable[Tuple[int, int, Sequence[PassRecord]]],
+    outcomes: Iterable[Tuple[int, Sequence[PassRecord]]],
 ) -> PassStatsRow:
-    """Aggregate one Table II row from ``(num_passes, final_cut,
-    pass_records)`` run outcomes.
+    """Aggregate one Table II row from ``(final_cut, pass_records)`` run
+    outcomes.
 
     Per-pass percentages exclude each run's first pass and passes with
     nothing movable.  The study driver and the trace summarizer
@@ -214,8 +142,8 @@ def pass_stats_row(
     best_prefix: List[float] = []
     wasted: List[float] = []
     cuts: List[int] = []
-    for num_passes, cut, records in outcomes:
-        passes_per_run.append(num_passes)
+    for cut, records in outcomes:
+        passes_per_run.append(len(records))
         cuts.append(cut)
         for record in records[1:]:
             if record.movable == 0:

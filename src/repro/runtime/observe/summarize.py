@@ -5,7 +5,8 @@ a per-name span rollup (count, total and mean duration), the counters,
 compact histogram digests -- and, when the trace contains pass-stats
 study spans, the paper's Table II *recomputed from the trace alone*.
 
-The reconstruction turns each ``fm.pass`` event back into a
+The reconstruction groups the study's ``study.run`` spans by percent,
+turns each ``fm.pass`` event back into a
 :class:`~repro.partition.fm.PassRecord` and aggregates through the study
 driver's own row builder, :func:`repro.core.pass_stats.pass_stats_row`,
 so its :meth:`~repro.core.pass_stats.PassStatsStudy.format_table` output
@@ -23,18 +24,14 @@ from inside ``repro.runtime``'s own initialization.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, List, Union
 
-from repro.core.pass_stats import (
-    PassStatsRow,
-    PassStatsStudy,
-    pass_stats_row,
-)
+from repro.core.pass_stats import PassStatsStudy, pass_stats_row
 from repro.partition.fm import PassRecord
-from repro.runtime.observe.trace import Span, Trace, load_trace
+from repro.runtime.observe.trace import Trace, load_trace
 
 STUDY_SPAN = "study.pass_stats"
-PERCENT_SPAN = "study.percent"
+RUN_SPAN = "study.run"
 FM_RUN_SPAN = "fm.run"
 FM_PASS_EVENT = "fm.pass"
 
@@ -42,44 +39,41 @@ FM_PASS_EVENT = "fm.pass"
 def reconstruct_pass_stats(trace: Trace) -> List[PassStatsStudy]:
     """Rebuild every pass-stats study recorded in ``trace``.
 
-    Walks ``study.pass_stats`` -> ``study.percent`` -> ``fm.run`` spans
-    and re-aggregates the per-pass ``fm.pass`` events with the study
-    driver's own row builder.  Error-marked ``fm.run`` spans are skipped,
-    matching the driver's exclusion of quarantined runs.
+    Groups the ``study.run`` spans under each ``study.pass_stats`` span
+    by their ``percent`` and re-aggregates each run's ``fm.pass`` events
+    with the study driver's own row builder, one row per entry of the
+    study span's ``percents``.  Error-marked runs are skipped, matching
+    the driver's exclusion of quarantined runs.
     """
     studies = []
     for study_span in trace.find_spans(STUDY_SPAN):
+        attrs = study_span.attrs
         study = PassStatsStudy(
-            circuit_name=study_span.attrs["circuit"],
-            regime=study_span.attrs["regime"],
+            circuit_name=attrs["circuit"], regime=attrs["regime"]
         )
-        for percent_span in study_span.children:
-            if percent_span.name != PERCENT_SPAN:
+        outcomes: Dict[float, list] = {}
+        for run_span in study_span.walk():
+            if run_span.name != RUN_SPAN or "error" in run_span.attrs:
                 continue
-            study.rows.append(_reconstruct_row(percent_span))
+            (fm_run,) = (
+                c for c in run_span.children if c.name == FM_RUN_SPAN
+            )
+            records = [
+                PassRecord(**e["fields"])
+                for e in fm_run.events
+                if e["name"] == FM_PASS_EVENT
+            ]
+            outcomes.setdefault(run_span.attrs["percent"], []).append(
+                (fm_run.attrs["final_cut"], records)
+            )
+        for percent in attrs["percents"]:
+            study.rows.append(
+                pass_stats_row(
+                    percent, attrs["runs"], outcomes.get(percent, [])
+                )
+            )
         studies.append(study)
     return studies
-
-
-def _reconstruct_row(percent_span: Span) -> PassStatsRow:
-    """One Table II row from one ``study.percent`` span."""
-    outcomes = []
-    for run_span in percent_span.children:
-        if run_span.name != FM_RUN_SPAN or "error" in run_span.attrs:
-            continue
-        records = [
-            PassRecord(**e["fields"])
-            for e in run_span.events
-            if e["name"] == FM_PASS_EVENT
-        ]
-        outcomes.append(
-            (len(records), run_span.attrs["final_cut"], records)
-        )
-    return pass_stats_row(
-        percent_span.attrs["percent"],
-        percent_span.attrs["runs"],
-        outcomes,
-    )
 
 
 def _span_rollup(trace: Trace) -> List[str]:

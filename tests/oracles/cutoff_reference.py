@@ -5,7 +5,8 @@ before the whole grid became one heaviest-first map: per percent, the
 fixture and ``runs`` init seeds, then one :class:`_CutoffRunTask` and
 one ``parallel_map`` per cutoff column, in grid order.  Only the journal
 and policy plumbing were dropped, and the init seeds of every cell are
-returned too.
+returned too.  :class:`_CutoffRunTask` is the library's old per-cell
+task, moved here unchanged.
 
 ``tests/core/test_cutoff_grid.py`` holds the study to this reference.
 Do not optimize this module.
@@ -14,9 +15,10 @@ Do not optimize this module.
 from __future__ import annotations
 
 import random
+import time
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.cutoff import CutoffCell, CutoffStudy, _CutoffRunTask
+from repro.core.cutoff import CutoffCell, CutoffStudy
 from repro.core.regimes import (
     find_good_solution,
     make_schedule,
@@ -24,7 +26,44 @@ from repro.core.regimes import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
+from repro.partition.fm import FMConfig
+from repro.partition.multistart import FlatFMStartTask
 from repro.runtime import parallel_map
+
+
+class _CutoffRunTask(FlatFMStartTask):
+    """One LIFO-FM run at a fixed cutoff per init seed (picklable).
+
+    The initial solution is reconstructed inside the worker from the
+    init seed; seeds are shared across cutoff columns, so columns stay
+    paired samples exactly as in the serial protocol.  Timing covers
+    only ``engine.run`` -- construction of the initial partition is
+    protocol overhead, not part of the measured heuristic.
+    """
+
+    def __init__(
+        self,
+        graph: Hypergraph,
+        balance: BalanceConstraint,
+        fixture: Sequence[int],
+        cutoff: float,
+    ) -> None:
+        super().__init__(
+            graph,
+            balance,
+            fixture,
+            FMConfig(policy="lifo", pass_move_limit_fraction=cutoff),
+        )
+
+    def __call__(self, init_seed: int):
+        engine = self.engine  # built once, outside the timed region
+        init = self.initial(init_seed)
+        cpu0 = time.process_time()
+        t0 = time.perf_counter()
+        result = engine.run(init)
+        seconds = time.perf_counter() - t0
+        cpu_seconds = time.process_time() - cpu0
+        return (result.solution.cut, seconds, cpu_seconds, result.total_moves)
 
 
 def reference_cutoff_study(

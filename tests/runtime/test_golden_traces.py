@@ -93,20 +93,18 @@ class TestPassStatsGolden:
         _, recorder = pass_stats_run
         trace = recorder.trace()
         (study_span,) = trace.find_spans("study.pass_stats")
-        percents = [
-            c for c in study_span.children if c.name == "study.percent"
-        ]
-        assert [p.attrs["percent"] for p in percents] == [0.0, 30.0]
-        for percent_span in percents:
-            runs = [
-                c for c in percent_span.children if c.name == "fm.run"
-            ]
-            assert len(runs) == PASS_STATS_KW["runs"]
-            for run_span in runs:
-                passes = [
-                    e for e in run_span.events if e["name"] == "fm.pass"
-                ]
-                assert len(passes) == run_span.attrs["passes"]
+        assert study_span.attrs["percents"] == [0.0, 30.0]
+        # The rand regime has no reference search: every child is a run,
+        # submitted heaviest (fewest fixed vertices) first.
+        runs = study_span.children
+        assert {c.name for c in runs} == {"study.run"}
+        assert [r.attrs["percent"] for r in runs] == [0.0] * 4 + [30.0] * 4
+        assert {r.attrs["cutoff"] for r in runs} == {1.0}
+        for run_span in runs:
+            (fm_run,) = run_span.children
+            assert fm_run.name == "fm.run"
+            passes = [e for e in fm_run.events if e["name"] == "fm.pass"]
+            assert len(passes) == fm_run.attrs["passes"]
 
     def test_counter_totals_are_consistent(self, pass_stats_run):
         _, recorder = pass_stats_run
@@ -146,6 +144,29 @@ class TestPassStatsGolden:
         path = tmp_path / "trace.json"
         recorder.save(path)
         assert study.format_table() in summarize_path(path)
+
+
+@pytest.mark.parametrize("regime", ["good", "rand"])
+def test_summarize_rebuilds_a_pooled_unsorted_study(regime):
+    from repro.runtime.observe.summarize import reconstruct_pass_stats
+
+    graph, balance = _tiny01()
+    kwargs = dict(
+        PASS_STATS_KW, percents=(30.0, 0.0, 10.0), regime=regime, runs=3,
+        jobs=2,
+    )
+    recorder = TraceRecorder()
+    with use(recorder):
+        study = run_pass_stats_study(graph, balance, **kwargs)
+    trace = recorder.trace()
+    (study_span,) = trace.find_spans("study.pass_stats")
+    names = [c.name for c in study_span.children]
+    assert names == ["study.reference"] * (regime == "good") + (
+        ["study.run"] * 9
+    )
+    (rebuilt,) = reconstruct_pass_stats(trace)
+    assert [r.percent for r in rebuilt.rows] == [30.0, 0.0, 10.0]
+    assert rebuilt.format_table() == study.format_table()
 
 
 class TestMultistartGolden:
