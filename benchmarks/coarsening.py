@@ -295,7 +295,7 @@ class _ReferenceMultilevel(MultilevelBipartitioner):
     def _coarsen(self, graph, fixture, labels):
         return matching_reference.coarsen(graph, fixture, labels)
 
-    def _flat_engine(self, graph, fixture):
+    def _flat_engine(self, graph, fixture, depth):
         return ReferenceFMBipartitioner(
             graph, self.balance, fixture=fixture, config=FMConfig(policy="clip")
         )

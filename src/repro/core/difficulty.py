@@ -30,7 +30,12 @@ from repro.core.regimes import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
-from repro.partition.multistart import kway_multistart, multilevel_multistart
+from repro.partition.multistart import (
+    MultistartResult,
+    kway_multistart,
+    multilevel_multistart,
+)
+from repro.runtime import derive_start_seeds
 
 
 @dataclass(frozen=True)
@@ -112,16 +117,18 @@ def run_difficulty_study(
     paper fixes vertices per "the best min-cut solution we could find" --
     a weak reference makes good-regime fixtures self-inconsistent).
 
-    ``jobs > 1`` fans each batch's starts over a process pool; cuts and
-    the CPU-time column are identical to the serial run (per-start CPU
-    time is measured with ``time.process_time`` inside the worker).
+    Each ``(regime, percent)`` point is one multistart call of
+    ``trials * max(starts_list)`` starts against its fixture; ``jobs >
+    1`` fans them over one process pool.  Cuts and the CPU-time column
+    are identical to the serial run (per-start CPU time is measured with
+    ``time.process_time`` inside the worker).
 
     ``policy`` (an :class:`repro.runtime.ExecutionPolicy`) adds
     per-start timeouts/retries/quarantine; ``journal`` (a
     :class:`repro.runtime.CheckpointJournal` or namespace view) makes
-    every ``(regime, percent, trial)`` batch resumable -- a re-run with
-    the same journal skips completed starts and reproduces the study bit
-    for bit (see ``docs/robustness.md``).
+    the ``reference`` batch and every ``{regime}:{percent}`` batch
+    resumable -- a re-run with the same journal skips completed starts
+    and reproduces the study bit for bit (see ``docs/robustness.md``).
     """
     if not starts_list or sorted(starts_list) != list(starts_list):
         raise ValueError("starts_list must be non-empty and ascending")
@@ -165,21 +172,37 @@ def run_difficulty_study(
                 seed=rand_fix_seed,
                 num_parts=num_parts,
             )
+            # Every trial of this point runs against the same fixture, so
+            # its batches go out as one multistart call: trial t's starts
+            # are the slice [t * max_starts, (t + 1) * max_starts), each
+            # seeded exactly as its own per-trial call would have been.
+            batch_seeds = [rng.getrandbits(32) for _ in range(trials)]
+            result = multistart(
+                graph,
+                balance,
+                fixture=fixture,
+                num_starts=trials * max_starts,
+                seeds=[
+                    start_seed
+                    for batch_seed in batch_seeds
+                    for start_seed in derive_start_seeds(
+                        batch_seed, max_starts
+                    )
+                ],
+                jobs=jobs,
+                policy=policy,
+                checkpoint=(
+                    journal.batch(f"{regime}:{percent}")
+                    if journal is not None
+                    else None
+                ),
+            )
             best_instance = None
             for trial in range(trials):
-                batch = multistart(
-                    graph,
-                    balance,
-                    fixture=fixture,
-                    num_starts=max_starts,
-                    seed=rng.getrandbits(32),
-                    jobs=jobs,
-                    policy=policy,
-                    checkpoint=(
-                        journal.batch(f"{regime}:{percent}:trial{trial}")
-                        if journal is not None
-                        else None
-                    ),
+                batch = MultistartResult(
+                    result.starts[
+                        trial * max_starts:(trial + 1) * max_starts
+                    ]
                 )
                 for starts in starts_list:
                     key = (regime, percent, starts)

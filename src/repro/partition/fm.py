@@ -429,10 +429,11 @@ class FMBipartitioner:
 
         Fixed vertices are forced onto their mandated side before the
         first pass, so any initial assignment for them is tolerated.
-        ``initial_cut`` lets a caller that already knows the exact cut of
-        ``initial_parts`` (e.g. the multilevel driver, whose projections
-        preserve the cut) skip the O(pins) ``cut_size`` evaluation; it is
-        trusted, so it must be exact.
+        Without ``initial_cut`` the starting cut is counted in the pin
+        walk that derives the run state, so it costs no second scan.  A
+        caller that already knows the exact cut of ``initial_parts``
+        (e.g. the multilevel driver, whose projections preserve the cut)
+        may pass it; it is trusted, so it must be exact.
 
         With a :mod:`repro.runtime.observe` recorder active, the run is
         wrapped in an ``fm.run`` span carrying one ``fm.pass`` event per
@@ -473,14 +474,20 @@ class FMBipartitioner:
         loads = [0.0, 0.0]
         for v in range(n):
             loads[parts[v]] += self._areas[v]
-        cut = cut_size(graph, parts) if initial_cut is None else initial_cut
+        if not self._movable:
+            if initial_cut is None:
+                initial_cut = cut_size(graph, parts)
+            return FMResult(
+                solution=Bipartition(parts=parts, cut=initial_cut),
+                initial_cut=initial_cut,
+            )
+
+        cut = self._init_run_state(parts)
+        if initial_cut is not None:
+            cut = initial_cut
         result = FMResult(
             solution=Bipartition(parts=parts, cut=cut), initial_cut=cut
         )
-        if not self._movable:
-            return result
-
-        self._init_run_state(parts)
 
         record_moves = self.config.record_moves
         pass_index = 0
@@ -504,8 +511,9 @@ class FMBipartitioner:
         return result
 
     # ------------------------------------------------------------------
-    def _init_run_state(self, parts: List[int]) -> None:
-        """Derive cnt/ids/gain from ``parts`` (once per run).
+    def _init_run_state(self, parts: List[int]) -> int:
+        """Derive cnt/ids/gain from ``parts`` (once per run); return the
+        cut of ``parts``, read off the side counts of the same pin walk.
 
         Subsequent passes keep these buffers exact incrementally: moves
         update them forward and the rollback replays moves to the best
@@ -516,6 +524,8 @@ class FMBipartitioner:
         ids0 = self._ids0
         ids1 = self._ids1
         epins = self._epins
+        eweight = self._eweight
+        cut = 0
         for e in range(len(epins)):
             c0 = 0
             s0 = 0
@@ -532,9 +542,10 @@ class FMBipartitioner:
             cnt1[e] = c1
             ids0[e] = s0
             ids1[e] = s1
+            if c0 and c1:
+                cut += eweight[e]
 
         vnets = self._vnets
-        eweight = self._eweight
         gain = self._gain
         for v in self._movable:
             cs_, ct_ = (cnt1, cnt0) if parts[v] else (cnt0, cnt1)
@@ -546,6 +557,7 @@ class FMBipartitioner:
                 if ct_[e] == 0:
                     g -= w
             gain[v] = g
+        return cut
 
     # ------------------------------------------------------------------
     def _run_pass(

@@ -124,14 +124,12 @@ class MultilevelBipartitioner:
             fixture = [FREE] * n
         validate_fixture(fixture, n, 2)
         self.fixture = list(fixture)
-        # FM engines pooled by graph shape: refinement at every level of
-        # every start/V-cycle rebinds a pooled engine (buffers resized in
-        # place) instead of allocating a fresh one.  Hierarchies from
-        # different seeds produce slightly different coarse shapes, so the
-        # pool is capped; overflow simply drops the pool and starts over.
-        self._engine_pool: Dict[Tuple[int, int], FMBipartitioner] = {}
-
-    _ENGINE_POOL_CAP = 64
+        # FM engines pooled by hierarchy depth (0 = the input graph):
+        # refinement at every level of every start/V-cycle rebinds the
+        # engine of its depth (buffers resized in place) instead of
+        # allocating a fresh one, so the pool never outgrows the deepest
+        # hierarchy, however many starts the engine runs.
+        self._engine_pool: Dict[int, FMBipartitioner] = {}
 
     # ------------------------------------------------------------------
     def run(self, seed: int = 0) -> MultilevelResult:
@@ -172,13 +170,14 @@ class MultilevelBipartitioner:
             "initial_partition", vertices=coarsest_graph.num_vertices
         ) as sp:
             parts, cut, passes = self._initial_partition(
-                coarsest_graph, coarsest_fixture, rng
+                coarsest_graph, coarsest_fixture, len(levels), rng
             )
             sp.set(cut=cut)
 
         # Uncoarsen with FM refinement at every level.  levels[i] maps
         # between graphs[i] (fine) and levels[i].coarse; graphs[0] is the
-        # original hypergraph.  Projection preserves the cut exactly
+        # original hypergraph, and graphs[i] is refined by the engine of
+        # depth i.  Projection preserves the cut exactly
         # (contraction drops nets internal to a cluster and merges
         # parallel nets by summing weights), so the cut is threaded
         # through every level and cut_size() is never re-evaluated after
@@ -190,9 +189,9 @@ class MultilevelBipartitioner:
             with rec.span(
                 "refine", level=i, vertices=fine_graph.num_vertices
             ) as sp:
-                result = self._flat_engine(fine_graph, fine_fixture).run(
-                    parts, initial_cut=cut
-                )
+                result = self._flat_engine(
+                    fine_graph, fine_fixture, i
+                ).run(parts, initial_cut=cut)
                 sp.set(cut=result.solution.cut)
             parts = result.solution.parts
             cut = result.solution.cut
@@ -308,6 +307,7 @@ class MultilevelBipartitioner:
         self,
         graph: Hypergraph,
         fixture: List[int],
+        depth: int,
         rng: random.Random,
     ) -> Tuple[List[int], int, int]:
         """Best of ``initial_starts`` FM runs, as (parts, cut, passes).
@@ -318,7 +318,7 @@ class MultilevelBipartitioner:
         regime rewards starting from what the terminals dictate rather
         than from noise.
         """
-        engine = self._flat_engine(graph, fixture)
+        engine = self._flat_engine(graph, fixture, depth)
         has_terminals = self.config.terminal_seeded_starts and any(
             f != FREE for f in fixture
         )
@@ -364,29 +364,32 @@ class MultilevelBipartitioner:
         passes = 0
         current = coarse_parts
         for i in range(len(levels) - 1, -1, -1):
-            engine = self._flat_engine(levels[i].coarse, levels[i].fixture)
+            engine = self._flat_engine(
+                levels[i].coarse, levels[i].fixture, i + 1
+            )
             result = engine.run(current, initial_cut=cut)
             passes += result.num_passes
             cut = result.solution.cut
             current = levels[i].project(result.solution.parts)
-        final = self._flat_engine(self.graph, self.fixture).run(
+        final = self._flat_engine(self.graph, self.fixture, 0).run(
             current, initial_cut=cut
         )
         passes += final.num_passes
         return list(final.solution.parts), final.solution.cut, passes
 
     def _flat_engine(
-        self, graph: Hypergraph, fixture: Sequence[int]
+        self, graph: Hypergraph, fixture: Sequence[int], depth: int
     ) -> FMBipartitioner:
-        """An FM engine bound to ``(graph, fixture)``, from the pool.
+        """The pooled FM engine of ``depth``, bound to ``(graph, fixture)``.
 
-        Engines are keyed by graph shape so a rebind resizes the pooled
-        engine's buffers in place; every graph-derived member is still
-        recomputed, so shape collisions are a pure allocation win, never
-        a correctness hazard.
+        ``depth`` is the graph's place in the hierarchy: 0 for the input
+        graph, ``len(levels)`` for the coarsest.  A rebind resizes the
+        pooled engine's buffers in place and recomputes every
+        graph-derived member, so reuse across graphs is a pure
+        allocation win, never a correctness hazard; at depth 0 the graph
+        never changes and ``rebind`` returns at once.
         """
-        key = (graph.num_vertices, graph.num_nets)
-        engine = self._engine_pool.get(key)
+        engine = self._engine_pool.get(depth)
         if engine is not None:
             return engine.rebind(graph, fixture)
         engine = FMBipartitioner(
@@ -397,7 +400,5 @@ class MultilevelBipartitioner:
                 policy=REFINE_POLICY, adaptive_stop=self.config.adaptive_stop
             ),
         )
-        if len(self._engine_pool) >= self._ENGINE_POOL_CAP:
-            self._engine_pool.clear()
-        self._engine_pool[key] = engine
+        self._engine_pool[depth] = engine
         return engine

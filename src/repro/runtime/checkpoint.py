@@ -8,10 +8,14 @@ lets a re-invoked study skip straight past them:
 * the file is keyed by a **content hash of the study spec**
   (:func:`spec_key`), so a journal can never be resumed against a
   different study -- that mismatch raises :class:`CheckpointError`;
-* every write is **atomic and durable**: the full journal is written to
-  a sibling temp file, fsync'd, and ``os.replace``'d over the old one,
-  so a SIGKILL at any instant leaves either the old or the new journal,
-  never a torn one;
+* every write is **durable**, and a torn write costs at most one
+  cell: a finished cell is appended as one line, flushed and fsync'd.
+  Opening a journal rewrites it once, **atomically** (a sibling temp
+  file, fsync'd, ``os.replace``'d over the old one, then a directory
+  fsync), keeping only the header and the valid lines.  A SIGKILL
+  mid-append can therefore tear only the last line; the next open
+  drops it, the cell is recomputed, and no append ever follows a torn
+  line.  A new journal's header is written the same atomic way;
 * cell values round-trip through pickle (base64 in the JSON), so a
   resumed study sees *bit-identical* results -- the backbone of the
   "resume == uninterrupted run" contract;
@@ -25,7 +29,7 @@ Layout: record 1 is a header with the spec hash; every other record is
 ``{"kind": "cell", "batch": ..., "index": ..., "item": ...,
 "value": ...}``.  ``batch`` is the deterministic call-site key a study
 assigns to each ``parallel_map`` invocation (e.g.
-``"good:20.0:trial1"``), ``index``/``item`` identify the cell within
+``"good:20.0"``), ``index``/``item`` identify the cell within
 the batch (for multistart batches the item *is* the start seed).
 """
 
@@ -37,7 +41,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.runtime.errors import CheckpointError
 from repro.runtime.observe import recorder as _observe
@@ -93,13 +97,12 @@ class CheckpointJournal:
     def __init__(self, path: PathLike, spec: Any) -> None:
         self.path = Path(path)
         self.spec_hash = spec_key(spec)
-        self._lines: list = []
         # (batch, index) -> {"item": fp, "value": encoded} | {"quarantined": ...}
         self._cells: Dict[Tuple[str, int], dict] = {}
         self.corrupt_lines = 0
         self.resumed = self.path.exists()
         if self.resumed:
-            self._load(spec)
+            self._rewrite(self._load(spec))
         else:
             header = {
                 "kind": "header",
@@ -109,11 +112,11 @@ class CheckpointJournal:
                     json.dumps(spec, default=str)
                 ) if spec is not None else None,
             }
-            self._lines.append(json.dumps(header, sort_keys=True))
-            self._flush()
+            self._rewrite([json.dumps(header, sort_keys=True)])
 
     # -- persistence ---------------------------------------------------
-    def _load(self, spec: Any) -> None:
+    def _load(self, spec: Any) -> List[str]:
+        """Read an existing journal; return its header and valid lines."""
         raw = self.path.read_text().splitlines()
         if not raw:
             raise CheckpointError(f"{self.path}: empty journal file")
@@ -133,7 +136,7 @@ class CheckpointJournal:
                 f"this study {self.spec_hash!r:.20}...); refusing to "
                 "splice unrelated results"
             )
-        self._lines.append(raw[0])
+        kept = [raw[0]]
         for line in raw[1:]:
             try:
                 record = json.loads(line)
@@ -150,18 +153,20 @@ class CheckpointJournal:
                 self.corrupt_lines += 1
                 continue
             self._cells[key] = record
-            self._lines.append(line)
+            kept.append(line)
         rec = _observe.active()
         if rec.enabled:
             rec.count("checkpoint.resumes")
             rec.count("checkpoint.loaded_cells", len(self._cells))
             if self.corrupt_lines:
                 rec.count("checkpoint.corrupt_lines", self.corrupt_lines)
+        return kept
 
-    def _flush(self) -> None:
-        """Atomically persist the journal (tmp file + replace, fsync'd)."""
+    def _rewrite(self, lines: List[str]) -> None:
+        """Atomically replace the journal with ``lines`` (tmp file +
+        replace, fsync'd)."""
         tmp = self.path.with_name(self.path.name + ".tmp")
-        payload = "\n".join(self._lines) + "\n"
+        payload = "\n".join(lines) + "\n"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(payload)
             handle.flush()
@@ -175,6 +180,14 @@ class CheckpointJournal:
                 os.close(dir_fd)
         except OSError:  # pragma: no cover - platform-dependent
             pass
+
+    def _append(self, record: dict) -> None:
+        """Durably append one cell record (one line, fsync'd)."""
+        self._cells[(record["batch"], record["index"])] = record
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
 
     # -- cell API ------------------------------------------------------
     def lookup(self, batch: str, index: int, item: Any) -> Any:
@@ -193,7 +206,7 @@ class CheckpointJournal:
         return _decode_value(record["value"])
 
     def record(self, batch: str, index: int, item: Any, value: Any) -> None:
-        """Journal one completed cell (atomic, durable)."""
+        """Journal one completed cell (one durable append)."""
         record = {
             "kind": "cell",
             "batch": batch,
@@ -201,9 +214,7 @@ class CheckpointJournal:
             "item": _item_fingerprint(item),
             "value": _encode_value(value),
         }
-        self._cells[(batch, index)] = record
-        self._lines.append(json.dumps(record, sort_keys=True))
-        self._flush()
+        self._append(record)
         rec = _observe.active()
         if rec.enabled:
             rec.count("checkpoint.writes")
@@ -219,9 +230,7 @@ class CheckpointJournal:
             "item": _item_fingerprint(item),
             "quarantined": reason,
         }
-        self._cells[(batch, index)] = record
-        self._lines.append(json.dumps(record, sort_keys=True))
-        self._flush()
+        self._append(record)
         rec = _observe.active()
         if rec.enabled:
             rec.count("checkpoint.quarantine_writes")

@@ -208,7 +208,7 @@ class TestMultilevelDefault:
 
     def test_every_stage_uses_the_rule(self):
         # Initial partitioning, refinement and V-cycles all draw their
-        # FM engines from the one shape-keyed pool.
+        # FM engines from the one depth-keyed pool.
         graph, balance = _tiny01()
         engine = MultilevelBipartitioner(
             graph, balance=balance, config=MultilevelConfig(vcycles=1)

@@ -142,6 +142,33 @@ class TestFixedVertices:
         assert result.solution.cut == 1
 
 
+class TestEnginePool:
+    @pytest.mark.parametrize("vcycles", [0, 1])
+    def test_one_engine_per_depth_across_starts(
+        self, tiny_circuit, tiny_balance, vcycles
+    ):
+        g = tiny_circuit.graph
+        fixture = rand_fixture(make_schedule(g, seed=3), 20.0, seed=4)
+        config = MultilevelConfig(vcycles=vcycles)
+        engine = MultilevelBipartitioner(
+            g, balance=tiny_balance, fixture=fixture, config=config
+        )
+        levels = []
+        for seed in range(10):
+            result = engine.run(seed=seed)
+            fresh = MultilevelBipartitioner(
+                g, balance=tiny_balance, fixture=fixture, config=config
+            ).run(seed=seed)
+            assert result.solution.cut == fresh.solution.cut
+            assert result.solution.parts == fresh.solution.parts
+            levels.append(result.num_levels)
+        # Depth 0 is the input graph; V-cycles reuse the same depths.
+        pool = engine._engine_pool
+        assert set(pool) == set(range(len(pool)))
+        if vcycles == 0:
+            assert len(pool) <= max(levels) + 1
+
+
 class TestConfig:
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

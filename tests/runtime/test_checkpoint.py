@@ -1,6 +1,7 @@
 """Tests for the durable checkpoint journal (resume semantics)."""
 
 import json
+import os
 
 import pytest
 
@@ -59,6 +60,35 @@ class TestJournalBasics:
         journal = CheckpointJournal(tmp_path / "j.jsonl", SPEC)
         journal.record("b", 0, 1, "v")
         assert list(tmp_path.iterdir()) == [tmp_path / "j.jsonl"]
+
+    def test_cells_are_appended_without_rewriting(
+        self, tmp_path, monkeypatch
+    ):
+        replaces = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaces.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path, SPEC)
+        for i in range(200):
+            if i % 50 == 49:
+                journal.record_quarantine("b", i, i, "timeout")
+            else:
+                journal.record("b", i, i, i * i)
+        assert replaces == [path]  # the header only
+
+        lines = path.read_text().splitlines()
+        assert len(lines) == 201
+        assert all(json.loads(line)["kind"] == "cell" for line in lines[1:])
+        reopened = CheckpointJournal(path, SPEC)
+        assert reopened.corrupt_lines == 0
+        assert reopened.completed_cells() == 196
+        assert len(reopened.quarantined_cells()) == 4
+        assert reopened.lookup("b", 48, 48) == 48 * 48
 
     def test_resume_sees_previous_cells(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -121,6 +151,32 @@ class TestCorruption:
         assert out == [4, 9, 16]
         assert resumed.hits == 2  # only the destroyed cell was recomputed
         assert CheckpointJournal(path, SPEC).completed_cells() == 3
+
+    def test_torn_last_line_is_dropped_and_appends_resume_cleanly(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.jsonl"
+        parallel_map(
+            _square, [2, 3, 4], jobs=1,
+            checkpoint=CheckpointJournal(path, SPEC).batch("b"),
+        )
+        text = path.read_text()
+        last = text.rstrip("\n").rsplit("\n", 1)[1]
+        path.write_text(text[: len(text) - len(last) // 2 - 1])  # torn
+
+        journal = CheckpointJournal(path, SPEC)
+        assert journal.corrupt_lines == 1
+        assert journal.completed_cells() == 2
+        resumed = journal.batch("b")
+        out = parallel_map(_square, [2, 3, 4], jobs=1, checkpoint=resumed)
+        assert out == [4, 9, 16]
+        assert resumed.hits == 2  # only the torn cell was recomputed
+        journal.record("b", 3, 5, 25)  # and appends go on cleanly
+        reopened = CheckpointJournal(path, SPEC)
+        assert reopened.corrupt_lines == 0
+        assert reopened.completed_cells() == 4
+        assert reopened.lookup("b", 2, 4) == 16
+        assert reopened.lookup("b", 3, 5) == 25
 
     def test_corrupt_header_refused(self, tmp_path):
         path = tmp_path / "j.jsonl"
