@@ -141,7 +141,7 @@ _EXPERIMENTS = {
     ),
     "overconstrained": _Experiment(
         "overconstrained",
-        lambda m, profile, rt: m.run_overconstrained(profile),
+        lambda m, profile, rt: m.run_overconstrained(profile, jobs=rt["jobs"]),
         lambda m, report: _report(
             report.format_report(), m.shape_checks(report)
         ),

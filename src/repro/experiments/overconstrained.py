@@ -85,9 +85,13 @@ PROFILE_SETTINGS = {
 
 
 def run_overconstrained(
-    profile: str = "quick", seed: int = 0
+    profile: str = "quick", seed: int = 0, jobs: int = 1
 ) -> OverconstrainedReport:
-    """Measure the good-regime single-start cut curve."""
+    """Measure the good-regime single-start cut curve.
+
+    ``jobs`` worker processes run the study's starts; the curve is the
+    same at every ``jobs`` value.
+    """
     if profile not in PROFILE_SETTINGS:
         raise KeyError(f"unknown profile {profile!r}")
     settings = PROFILE_SETTINGS[profile]
@@ -101,6 +105,7 @@ def run_overconstrained(
         trials=settings["trials"],
         seed=seed,
         regimes=("good",),
+        jobs=jobs,
     )
     cuts = [
         study.point("good", percent, 1).raw_cut
@@ -126,10 +131,11 @@ def shape_checks(
             <= 4.0 * max(1, report.good_cut),
         ),
         # The bump itself is the phenomenon under study; it appears on
-        # most seeds/circuits but is not guaranteed, so the check only
-        # asserts the probe produced a well-formed curve.
+        # most seeds/circuits but is not guaranteed, so it is reported,
+        # not gated: the check only asserts a well-formed curve.
         (
-            f"interior bump measured: {report.bump:+.1f} cut at "
+            f"curve covers every percentage; interior bump reported, "
+            f"not gated: {report.bump:+.1f} cut at "
             f"{report.bump_percent:.0f}% fixed "
             "(positive confirms an overconstrained region)",
             len(report.single_start_cuts) == len(report.percents),

@@ -109,11 +109,6 @@ class HypergraphBuilder:
         """Vertices added so far."""
         return len(self._vertex_names)
 
-    @property
-    def num_nets(self) -> int:
-        """Nets added so far."""
-        return len(self._nets)
-
     # ------------------------------------------------------------------
     def build(self) -> Hypergraph:
         """Freeze into an immutable :class:`Hypergraph`."""

@@ -1,9 +1,11 @@
 """Structural validation and sanity reporting for hypergraphs.
 
-Parsers and generators call :func:`validate_hypergraph` before handing a
-hypergraph to the partitioner; the checks here catch the classic netlist
-pathologies (dangling nets, self-nets after clustering, weight anomalies)
-with actionable messages.
+:func:`validate_hypergraph` is an on-demand audit for callers: no
+parser, generator or engine calls it, since the :class:`Hypergraph`
+constructor already rejects malformed pins, areas and weights.  It
+re-checks the CSR cross-consistency and reports the classic netlist
+pathologies (dangling nets, self-nets after clustering, weight
+anomalies) with actionable messages.
 """
 
 from __future__ import annotations

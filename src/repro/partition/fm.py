@@ -72,7 +72,6 @@ from repro.runtime.observe import recorder as _observe
 from repro.partition.solution import (
     FREE,
     Bipartition,
-    cut_size,
     validate_fixture,
 )
 
@@ -414,26 +413,15 @@ class FMBipartitioner:
             self._buckets[1].resize(n, limit)
         self._bucket_limit = limit
 
-    @property
-    def num_movable(self) -> int:
-        """Number of free vertices."""
-        return len(self._movable)
-
     # ------------------------------------------------------------------
-    def run(
-        self,
-        initial_parts: Sequence[int],
-        initial_cut: Optional[int] = None,
-    ) -> FMResult:
+    def run(self, initial_parts: Sequence[int]) -> FMResult:
         """Improve ``initial_parts`` and return the best solution found.
 
         Fixed vertices are forced onto their mandated side before the
         first pass, so any initial assignment for them is tolerated.
-        Without ``initial_cut`` the starting cut is counted in the pin
-        walk that derives the run state, so it costs no second scan.  A
-        caller that already knows the exact cut of ``initial_parts``
-        (e.g. the multilevel driver, whose projections preserve the cut)
-        may pass it; it is trusted, so it must be exact.
+        The starting cut is counted in the pin walk that derives the run
+        state, so every cut the engine reports is derived from the
+        assignment, never handed in.
 
         With a :mod:`repro.runtime.observe` recorder active, the run is
         wrapped in an ``fm.run`` span carrying one ``fm.pass`` event per
@@ -443,21 +431,17 @@ class FMBipartitioner:
         """
         recorder = _observe.active()
         if not recorder.enabled:
-            return self._run(initial_parts, initial_cut)
+            return self._run(initial_parts)
         with recorder.span(
             "fm.run",
             policy=self.config.policy,
             movable=len(self._movable),
         ) as span:
-            result = self._run(initial_parts, initial_cut)
+            result = self._run(initial_parts)
             _record_fm_run(recorder, span, self.config, result)
         return result
 
-    def _run(
-        self,
-        initial_parts: Sequence[int],
-        initial_cut: Optional[int] = None,
-    ) -> FMResult:
+    def _run(self, initial_parts: Sequence[int]) -> FMResult:
         """The uninstrumented engine (see :meth:`run`)."""
         graph = self.graph
         n = graph.num_vertices
@@ -474,20 +458,12 @@ class FMBipartitioner:
         loads = [0.0, 0.0]
         for v in range(n):
             loads[parts[v]] += self._areas[v]
-        if not self._movable:
-            if initial_cut is None:
-                initial_cut = cut_size(graph, parts)
-            return FMResult(
-                solution=Bipartition(parts=parts, cut=initial_cut),
-                initial_cut=initial_cut,
-            )
-
         cut = self._init_run_state(parts)
-        if initial_cut is not None:
-            cut = initial_cut
         result = FMResult(
             solution=Bipartition(parts=parts, cut=cut), initial_cut=cut
         )
+        if not self._movable:
+            return result
 
         record_moves = self.config.record_moves
         pass_index = 0

@@ -168,22 +168,9 @@ class ReferenceFMBipartitioner:
             for r in range(resources)
         )
 
-    @property
-    def num_movable(self) -> int:
-        """Number of free vertices."""
-        return len(self._movable)
-
     # ------------------------------------------------------------------
-    def run(
-        self,
-        initial_parts: Sequence[int],
-        initial_cut: Optional[int] = None,
-    ) -> FMResult:
-        """Improve ``initial_parts`` and return the best solution found.
-
-        ``initial_cut`` is the objective of ``initial_parts`` when the
-        caller already knows it.
-        """
+    def run(self, initial_parts: Sequence[int]) -> FMResult:
+        """Improve ``initial_parts`` and return the best solution found."""
         graph = self.graph
         n = graph.num_vertices
         if len(initial_parts) != n:
@@ -200,11 +187,7 @@ class ReferenceFMBipartitioner:
         for v in range(n):
             for r, w in enumerate(self._weights[v]):
                 loads[r][parts[v]] += w
-        cut = (
-            total_cost(graph, self.model, parts)
-            if initial_cut is None
-            else initial_cut
-        )
+        cut = total_cost(graph, self.model, parts)
         result = FMResult(
             solution=Bipartition(parts=parts, cut=cut), initial_cut=cut
         )

@@ -63,11 +63,6 @@ class GainBucket:
     def __contains__(self, vertex: int) -> bool:
         return self._present[vertex]
 
-    @property
-    def limit(self) -> int:
-        """Maximum key magnitude this bucket accepts."""
-        return self._limit
-
     def key_of(self, vertex: int) -> int:
         """Current key of ``vertex`` (undefined if absent)."""
         return self._key[vertex]

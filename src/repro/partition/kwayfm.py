@@ -35,7 +35,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
 from repro.partition.fm import flatten_graph
 from repro.partition.gainbucket import GainBucket
-from repro.partition.solution import FREE, cut_size, validate_fixture
+from repro.partition.solution import FREE, validate_fixture
 from repro.runtime.observe import recorder as _observe
 
 _KWAY_PASS_CAP = 100
@@ -136,15 +136,13 @@ class KWayFMRefiner:
 
     # ------------------------------------------------------------------
     def run(
-        self,
-        initial_parts: Sequence[int],
-        seed: int = 0,
-        initial_cut: Optional[int] = None,
+        self, initial_parts: Sequence[int], seed: int = 0
     ) -> KWayFMResult:
         """Refine ``initial_parts``; fixed vertices are forced first.
 
-        ``initial_cut``, when given, must be the exact cut of the forced
-        assignment and skips the O(pins) ``cut_size`` evaluation.
+        The starting cut is counted in the pin walk that derives the run
+        state, so every cut the refiner reports is derived from the
+        assignment.
 
         Under an active :mod:`repro.runtime.observe` recorder the run is
         wrapped in a ``kwayfm.run`` span with one ``kwayfm.pass`` event
@@ -153,13 +151,13 @@ class KWayFMRefiner:
         """
         recorder = _observe.active()
         if not recorder.enabled:
-            return self._run(initial_parts, seed, initial_cut)
+            return self._run(initial_parts, seed)
         with recorder.span(
             "kwayfm.run",
             parts=self.num_parts,
             movable=len(self._movable),
         ) as span:
-            result = self._run(initial_parts, seed, initial_cut)
+            result = self._run(initial_parts, seed)
             span.set(
                 initial_cut=result.initial_cut,
                 final_cut=result.cut,
@@ -176,10 +174,7 @@ class KWayFMRefiner:
         return result
 
     def _run(
-        self,
-        initial_parts: Sequence[int],
-        seed: int = 0,
-        initial_cut: Optional[int] = None,
+        self, initial_parts: Sequence[int], seed: int = 0
     ) -> KWayFMResult:
         """The uninstrumented engine (see :meth:`run`)."""
         graph = self.graph
@@ -197,14 +192,10 @@ class KWayFMRefiner:
         loads = [0.0] * self.num_parts
         for v in range(n):
             loads[parts[v]] += self._areas[v]
-        cut = cut_size(graph, parts) if initial_cut is None else initial_cut
-        result = KWayFMResult(
-            parts=parts, cut=cut, initial_cut=cut
-        )
+        cut = self._init_run_state(parts)
+        result = KWayFMResult(parts=parts, cut=cut, initial_cut=cut)
         if not self._movable:
             return result
-
-        self._init_run_state(parts)
 
         rng = random.Random(seed)
         record_moves = self.config.record_moves
@@ -223,13 +214,17 @@ class KWayFMRefiner:
         return result
 
     # ------------------------------------------------------------------
-    def _init_run_state(self, parts: List[int]) -> None:
-        """Derive pin counts and spans from ``parts`` (once per run)."""
+    def _init_run_state(self, parts: List[int]) -> int:
+        """Derive pin counts and spans from ``parts`` (once per run);
+        return the cut of ``parts``: the weight of the nets the same pin
+        walk finds spanning at least two blocks."""
         k = self.num_parts
         cnt = self._cnt
         cnt[:] = self._zero_cnt
         spans = self._spans
         epins = self._epins
+        eweight = self._eweight
+        cut = 0
         for e in range(len(epins)):
             base = e * k
             for v in epins[e]:
@@ -239,6 +234,23 @@ class KWayFMRefiner:
                 if cnt[p]:
                     span += 1
             spans[e] = span
+            if span >= 2:
+                cut += eweight[e]
+        return cut
+
+    def construct_and_refine(self, seed: int = 0) -> KWayFMResult:
+        """One start: a random balanced k-way construction, then k-way FM.
+
+        Deterministic in ``seed``: the construction draws from
+        ``random.Random(seed)`` first, then ``rng.getrandbits(32)`` seeds
+        the pass shuffles.  The refiner's own (graph, balance, fixture)
+        drive both steps, so one refiner serves any number of starts.
+        """
+        rng = random.Random(seed)
+        parts = kway_balanced_construction(
+            self.graph, self.balance, self.fixture, rng
+        )
+        return self.run(parts, seed=rng.getrandbits(32))
 
     # ------------------------------------------------------------------
     def _progress_key(
@@ -550,10 +562,10 @@ def kway_balanced_construction(
 
     Free vertices are visited largest-first (random shuffle breaks area
     ties) and each is assigned to the feasible block with the most
-    remaining capacity, random among ties.  Extracted from
-    :func:`kway_fm_partition` so multistart drivers can pair it with a
-    cached refiner; the rng consumption order is part of the determinism
-    contract (shuffle, then one ``rng.choice`` per free vertex).
+    remaining capacity, random among ties.  The construction step of
+    :meth:`KWayFMRefiner.construct_and_refine`; the rng consumption
+    order is part of the determinism contract (shuffle, then one
+    ``rng.choice`` per free vertex).
     """
     num_parts = balance.num_parts
     n = graph.num_vertices
@@ -590,26 +602,8 @@ def kway_fm_partition(
     fixture: Optional[Sequence[int]] = None,
     config: Optional[KWayFMConfig] = None,
     seed: int = 0,
-    refiner: Optional[KWayFMRefiner] = None,
 ) -> KWayFMResult:
-    """Construct-and-refine: random balanced k-way start, then k-way FM.
-
-    ``refiner``, when supplied, must be bound to the same
-    (graph, balance, fixture) triple; passing one lets callers reuse its
-    persistent kernel buffers across many seeds instead of rebuilding
-    the engine per start.
-    """
-    num_parts = balance.num_parts
-    n = graph.num_vertices
-    if fixture is None:
-        fixture = [FREE] * n
-    validate_fixture(fixture, n, num_parts)
-    rng = random.Random(seed)
-
-    parts = kway_balanced_construction(graph, balance, fixture, rng)
-
-    if refiner is None:
-        refiner = KWayFMRefiner(
-            graph, balance, fixture=fixture, config=config
-        )
-    return refiner.run(parts, seed=rng.getrandbits(32))
+    """Construct-and-refine: random balanced k-way start, then k-way FM
+    (see :meth:`KWayFMRefiner.construct_and_refine`)."""
+    refiner = KWayFMRefiner(graph, balance, fixture=fixture, config=config)
+    return refiner.construct_and_refine(seed)

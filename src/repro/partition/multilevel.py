@@ -21,7 +21,7 @@ from repro.partition.balance import (
     BalanceConstraint,
     relative_bipartition_balance,
 )
-from repro.partition.fm import FMBipartitioner, FMConfig
+from repro.partition.fm import FMBipartitioner, FMConfig, FMResult
 from repro.partition.initial import (
     random_balanced_bipartition,
     terminal_seeded_bipartition,
@@ -169,49 +169,23 @@ class MultilevelBipartitioner:
         with rec.span(
             "initial_partition", vertices=coarsest_graph.num_vertices
         ) as sp:
-            parts, cut, passes = self._initial_partition(
+            solution, passes = self._initial_partition(
                 coarsest_graph, coarsest_fixture, len(levels), rng
             )
-            sp.set(cut=cut)
+            sp.set(cut=solution.cut)
+        solution, passes = self._uncoarsen(levels, solution, passes)
 
-        # Uncoarsen with FM refinement at every level.  levels[i] maps
-        # between graphs[i] (fine) and levels[i].coarse; graphs[0] is the
-        # original hypergraph, and graphs[i] is refined by the engine of
-        # depth i.  Projection preserves the cut exactly
-        # (contraction drops nets internal to a cluster and merges
-        # parallel nets by summing weights), so the cut is threaded
-        # through every level and cut_size() is never re-evaluated after
-        # the coarsest-level starts.
-        for i in range(len(levels) - 1, -1, -1):
-            parts = levels[i].project(parts)
-            fine_graph = levels[i - 1].coarse if i > 0 else self.graph
-            fine_fixture = levels[i - 1].fixture if i > 0 else self.fixture
-            with rec.span(
-                "refine", level=i, vertices=fine_graph.num_vertices
-            ) as sp:
-                result = self._flat_engine(
-                    fine_graph, fine_fixture, i
-                ).run(parts, initial_cut=cut)
-                sp.set(cut=result.solution.cut)
-            parts = result.solution.parts
-            cut = result.solution.cut
-            passes += result.num_passes
+        for index in range(self.config.vcycles):
+            with rec.span("vcycle", index=index) as sp:
+                solution, passes = self._vcycle(solution, passes, rng)
+                sp.set(cut=solution.cut)
 
-        vcycles_run = 0
-        for _ in range(self.config.vcycles):
-            with rec.span("vcycle", index=vcycles_run) as sp:
-                parts, cut, extra = self._vcycle(parts, cut, rng)
-                sp.set(cut=cut)
-            passes += extra
-            vcycles_run += 1
-
-        solution = Bipartition(parts=parts, cut=cut)
         return MultilevelResult(
             solution=solution,
             num_levels=len(levels),
             coarsest_vertices=coarsest_graph.num_vertices,
             refinement_passes=passes,
-            vcycles_run=vcycles_run,
+            vcycles_run=self.config.vcycles,
         )
 
     # ------------------------------------------------------------------
@@ -309,8 +283,8 @@ class MultilevelBipartitioner:
         fixture: List[int],
         depth: int,
         rng: random.Random,
-    ) -> Tuple[List[int], int, int]:
-        """Best of ``initial_starts`` FM runs, as (parts, cut, passes).
+    ) -> Tuple[Bipartition, int]:
+        """Best of ``initial_starts`` FM runs, as (solution, passes).
 
         Constructions alternate between random balanced assignments and
         (when the coarsest level carries fixed vertices) the
@@ -322,8 +296,7 @@ class MultilevelBipartitioner:
         has_terminals = self.config.terminal_seeded_starts and any(
             f != FREE for f in fixture
         )
-        best_parts: Optional[List[int]] = None
-        best_cut = 0
+        best: Optional[Bipartition] = None
         passes = 0
         for start in range(self.config.initial_starts):
             if has_terminals and start % 2 == 0:
@@ -336,46 +309,64 @@ class MultilevelBipartitioner:
                 )
             result = engine.run(init)
             passes += result.num_passes
-            if best_parts is None or result.solution.cut < best_cut:
-                best_parts = list(result.solution.parts)
-                best_cut = result.solution.cut
-        assert best_parts is not None
-        return best_parts, best_cut, passes
+            if best is None or result.solution.cut < best.cut:
+                best = result.solution
+        assert best is not None
+        return best, passes
+
+    def _uncoarsen(
+        self, levels: List[CoarseLevel], solution: Bipartition, passes: int
+    ) -> Tuple[Bipartition, int]:
+        """Project ``solution`` from the coarsest graph of ``levels`` down
+        to the input graph, refining at every depth on the way.
+
+        ``levels[i]`` maps the graph of depth ``i`` onto
+        ``levels[i].coarse`` (depth ``i + 1``).  Returns the refined
+        solution and ``passes`` plus the passes spent; every cut comes
+        from the engine of its depth, derived from the projected parts.
+        """
+        for depth in range(len(levels) - 1, -1, -1):
+            result = self._refine(
+                levels, depth, levels[depth].project(solution.parts)
+            )
+            solution = result.solution
+            passes += result.num_passes
+        return solution, passes
+
+    def _refine(
+        self, levels: List[CoarseLevel], depth: int, parts: List[int]
+    ) -> FMResult:
+        """One FM run on the graph of ``depth``, in a ``refine`` span."""
+        graph = levels[depth - 1].coarse if depth else self.graph
+        fixture = levels[depth - 1].fixture if depth else self.fixture
+        with _observe.active().span(
+            "refine", level=depth, vertices=graph.num_vertices
+        ) as sp:
+            result = self._flat_engine(graph, fixture, depth).run(parts)
+            sp.set(cut=result.solution.cut)
+        return result
 
     def _vcycle(
-        self, parts: List[int], cut: int, rng: random.Random
-    ) -> Tuple[List[int], int, int]:
+        self, solution: Bipartition, passes: int, rng: random.Random
+    ) -> Tuple[Bipartition, int]:
         """One V-cycle: re-coarsen restricted to the current partition,
-        refine back down, finish with a flat pass at the finest level.
+        refine the coarsest graph, then uncoarsen as a start does.
 
-        Returns (parts, cut, passes).  The guard keeps every cluster
-        inside one block, so both the upward projection onto the coarse
-        hierarchy and the downward ``project`` calls preserve the cut
-        exactly and it can be threaded through instead of recomputed.
+        Returns the refined solution and ``passes`` plus the passes
+        spent.  The guard keeps every cluster inside one block, so the
+        current partition projects onto every coarse level unchanged.
         """
-        levels = self._build_hierarchy(rng, partition_guard=parts)
-        coarse_parts = list(parts)
+        levels = self._build_hierarchy(rng, partition_guard=solution.parts)
+        coarse_parts = solution.parts
         for level in levels:
             projected = [0] * level.coarse.num_vertices
             for v, c in enumerate(level.contraction.fine_to_coarse):
                 projected[c] = coarse_parts[v]
             coarse_parts = projected
-
-        passes = 0
-        current = coarse_parts
-        for i in range(len(levels) - 1, -1, -1):
-            engine = self._flat_engine(
-                levels[i].coarse, levels[i].fixture, i + 1
-            )
-            result = engine.run(current, initial_cut=cut)
-            passes += result.num_passes
-            cut = result.solution.cut
-            current = levels[i].project(result.solution.parts)
-        final = self._flat_engine(self.graph, self.fixture, 0).run(
-            current, initial_cut=cut
+        result = self._refine(levels, len(levels), coarse_parts)
+        return self._uncoarsen(
+            levels, result.solution, passes + result.num_passes
         )
-        passes += final.num_passes
-        return list(final.solution.parts), final.solution.cut, passes
 
     def _flat_engine(
         self, graph: Hypergraph, fixture: Sequence[int], depth: int

@@ -26,11 +26,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
 from repro.partition.fm import FMBipartitioner, FMConfig
 from repro.partition.initial import random_balanced_bipartition
-from repro.partition.kwayfm import (
-    KWayFMConfig,
-    KWayFMRefiner,
-    kway_fm_partition,
-)
+from repro.partition.kwayfm import KWayFMConfig, KWayFMRefiner
 from repro.partition.multilevel import (
     MultilevelBipartitioner,
     MultilevelConfig,
@@ -299,10 +295,10 @@ class KWayStartTask(_EngineStartTask):
     The :class:`KWayFMRefiner` is reusable (its kernel buffers are
     re-derived per run), so one cached refiner per process serves every
     start instead of rebuilding the engine -- adjacency flattening and
-    buffer allocation happen once.  Passing the cached refiner through
-    :func:`kway_fm_partition` keeps the rng consumption (construction,
-    then ``rng.getrandbits(32)`` for the pass shuffles) identical to the
-    uncached path, so results stay bit-identical.
+    buffer allocation happen once.  Each start is the refiner's own
+    :meth:`~KWayFMRefiner.construct_and_refine`, the same call
+    :func:`kway_fm_partition` makes on a fresh refiner, so results stay
+    bit-identical.
     """
 
     def _build_engine(self) -> KWayFMRefiner:
@@ -314,14 +310,7 @@ class KWayStartTask(_EngineStartTask):
         )
 
     def __call__(self, start_seed: int):
-        return kway_fm_partition(
-            self.graph,
-            self.balance,
-            fixture=self.fixture,
-            config=self.config,
-            seed=start_seed,
-            refiner=self.engine,
-        )
+        return self.engine.construct_and_refine(start_seed)
 
 
 def multilevel_multistart(

@@ -43,10 +43,6 @@ class Placement:
     graph: Hypergraph
     pad_vertices: List[int] = field(default_factory=list)
 
-    def position(self, vertex: int) -> Point:
-        """Location of ``vertex``."""
-        return self.positions[vertex]
-
     def half_perimeter_wirelength(self) -> float:
         """Total HPWL -- the standard placement quality metric."""
         total = 0.0

@@ -385,7 +385,7 @@ class TestOverconstrainedChecks:
 
     def test_short_curve_fails(self):
         report = build_overconstrained(cuts=(120.0, 118.0))
-        assert _failing(overconstrained_checks(report), "bump measured")
+        assert _failing(overconstrained_checks(report), "bump reported")
 
 
 def build_solutions(best=60, avg=63.5, free=38):

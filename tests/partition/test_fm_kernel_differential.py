@@ -162,10 +162,10 @@ def test_fm_kernel_matches_reference(policy, fraction, instance):
 
 @given(instance=kernel_instances())
 @settings(max_examples=30, deadline=None)
-def test_fm_kernel_engine_reuse_and_initial_cut(instance):
-    """A single kernel engine re-run over many starts (with and without
-    an explicit ``initial_cut``) matches a fresh reference every time --
-    the persistent buffers carry no state across runs."""
+def test_fm_kernel_engine_reuse(instance):
+    """A single kernel engine re-run over many starts matches a fresh
+    reference every time -- the persistent buffers carry no state across
+    runs."""
     graph, seed = instance
     rng = random.Random(seed)
     policy = rng.choice(["lifo", "fifo", "clip"])
@@ -173,14 +173,38 @@ def test_fm_kernel_engine_reuse_and_initial_cut(instance):
     config = FMConfig(policy=policy, record_moves=True)
     kernel = FMBipartitioner(graph, balance, config=config)
     reference = ReferenceFMBipartitioner(graph, balance, config=config)
-    for trial in range(4):
+    for _ in range(4):
         parts = [rng.randint(0, 1) for _ in range(graph.num_vertices)]
-        initial_cut = cut_size(graph, parts) if trial % 2 else None
         assert _fm_fingerprint(
             reference.run(list(parts))
-        ) == _fm_fingerprint(
-            kernel.run(list(parts), initial_cut=initial_cut)
-        )
+        ) == _fm_fingerprint(kernel.run(list(parts)))
+
+
+@pytest.mark.parametrize("engine", ["fm", "reference", "kway"])
+def test_run_with_no_movable_vertex_derives_the_fixture_cut(engine):
+    """With every vertex fixed, a run forces the fixture over initial
+    parts that disagree with it everywhere, makes no pass, and reports
+    the fixture's own cut as both its initial and final cut."""
+    k = 3 if engine == "kway" else 2
+    graph = _equal_area_graph(random.Random(5), 20, 30)
+    fixture = [v % k for v in range(graph.num_vertices)]
+    parts = [(f + 1) % k for f in fixture]
+    if engine == "kway":
+        result = KWayFMRefiner(
+            graph, relative_balance(40.0, k, 0.2), fixture=fixture
+        ).run(parts)
+        got_parts, passes, cut = result.parts, result.num_passes, result.cut
+    else:
+        cls = FMBipartitioner if engine == "fm" else ReferenceFMBipartitioner
+        result = cls(
+            graph, relative_bipartition_balance(40.0, 0.2), fixture=fixture
+        ).run(parts)
+        got_parts = result.solution.parts
+        passes, cut = result.num_passes, result.solution.cut
+    assert list(got_parts) == fixture
+    assert passes == 0
+    assert cut_size(graph, fixture) > 0
+    assert result.initial_cut == cut == cut_size(graph, fixture)
 
 
 @pytest.mark.parametrize("fraction", FIXED_FRACTIONS)

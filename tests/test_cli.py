@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -361,6 +362,32 @@ class TestExperiment:
             assert policy.max_attempts == attempts
             assert policy.quarantine
 
+    def test_overconstrained_hands_jobs_to_the_study(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments import overconstrained
+
+        jobs_seen = []
+        real_study = overconstrained.run_difficulty_study
+
+        def recording_study(*args, **kwargs):
+            jobs_seen.append(kwargs.get("jobs"))
+            return real_study(*args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(
+            overconstrained.PROFILE_SETTINGS,
+            "quick",
+            {"circuit": "tiny01", "percents": (0.0, 10.0, 30.0), "trials": 1},
+        )
+        monkeypatch.setattr(
+            overconstrained, "run_difficulty_study", recording_study
+        )
+        argv = ["experiment", "overconstrained", "--jobs", "2"]
+        assert main(argv) == 0
+        assert jobs_seen == [2]
+        assert "interior bump reported, not gated" in capsys.readouterr().out
+
     def test_table4_ignores_resume(self, capsys, tmp_path, monkeypatch):
         from repro.experiments import table4
 
@@ -373,3 +400,40 @@ class TestExperiment:
         assert "ignoring them" in out
         assert not journal.exists()
         assert (tmp_path / "results" / "table4_quick.txt").exists()
+
+
+class TestTrace:
+    def test_partition_trace_metrics_and_summary(
+        self, generated, tmp_path, capsys
+    ):
+        trace = tmp_path / "t.json"
+        metrics = tmp_path / "m.json"
+        rc = main(
+            [
+                "partition",
+                "--dir",
+                str(generated),
+                "--name",
+                "clic",
+                "--starts",
+                "2",
+                "--trace",
+                str(trace),
+                "--metrics-out",
+                str(metrics),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"trace written to {trace}" in out
+        assert f"metrics written to {metrics}" in out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["multilevel.runs"] == 2
+        assert counters["multistart.starts"] == 2
+        assert json.loads(trace.read_text())
+
+        assert main(["trace", "summarize", str(trace)]) == 0
+        summary = capsys.readouterr().out
+        assert "command=partition" in summary
+        assert re.search(r"^\s+multilevel\s+2\s", summary, re.M)
+        assert re.search(r"^\s+multilevel\.runs\s+2$", summary, re.M)
