@@ -39,6 +39,7 @@ import platform
 import random
 import sys
 import time
+from array import array
 from typing import Dict, List, Tuple
 
 from repro.hypergraph.contraction import contract
@@ -120,16 +121,18 @@ def _fixture(graph: Hypergraph, fraction: float, seed: int) -> List[int]:
 
 
 def _coarse_fingerprint(contraction) -> Tuple:
-    """Everything result-bearing in a Contraction, as raw buffer bytes."""
+    """Everything result-bearing in a Contraction, bit-exact: the int
+    lists as they are, the float areas as their IEEE-754 bytes (value
+    equality would let ``-0.0 == 0.0`` through)."""
     buffers = contraction.coarse.to_buffers()
     return (
         buffers["num_vertices"],
-        buffers["net_ptr"].tobytes(),
-        buffers["net_pins"].tobytes(),
-        buffers["vtx_ptr"].tobytes(),
-        buffers["vtx_nets"].tobytes(),
-        buffers["areas"].tobytes(),
-        buffers["net_weights"].tobytes(),
+        buffers["net_ptr"],
+        buffers["net_pins"],
+        buffers["vtx_ptr"],
+        buffers["vtx_nets"],
+        array("d", buffers["areas"]).tobytes(),
+        buffers["net_weights"],
         tuple(contraction.fine_to_coarse),
     )
 

@@ -11,16 +11,16 @@ Kernel layout
 -------------
 
 :func:`contract` is a flat-buffer kernel.  It iterates the fine graph's
-CSR through the cached plain-list views (:meth:`Hypergraph.csr_lists`),
-dedups the pins of each net through a per-cluster stamp array (one
-generation per net, no set objects), dedups *parallel* nets by hashing
-each sorted coarse pin span exactly once, and writes the coarse
-``net_ptr``/``net_pins``/areas/weights straight into :mod:`array`-module
-typed buffers.  The coarse
-:class:`Hypergraph` is assembled via :meth:`Hypergraph.from_buffers`,
-which skips all per-pin construction-time validation -- the kernel
-builds both CSR directions itself with the same counting sort the
-validating constructor uses.
+stored CSR lists (:meth:`Hypergraph.csr_lists`), dedups the pins of each
+net through a per-cluster stamp array (one generation per net, no set
+objects), dedups *parallel* nets by hashing each sorted coarse pin span
+exactly once, and appends the coarse ``net_ptr``/``net_pins``/areas/
+weights to plain lists.  The coarse :class:`Hypergraph` is assembled via
+:meth:`Hypergraph.from_buffers`, which stores those lists as they are
+and skips all per-pin construction-time validation -- the kernel builds
+both CSR directions itself with the same counting sort the validating
+constructor uses.  The next level's matching and contraction read the
+same lists back through ``csr_lists()``, so no level copies its CSR.
 
 The kernel's contract is strict: the coarse graph is **bit-identical**
 to the one produced by the retained reference implementation in
@@ -37,7 +37,6 @@ lists are built on first access instead of at every level.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Optional, Sequence
 
 from repro.hypergraph.hypergraph import (
@@ -139,16 +138,14 @@ def contract(
         areas[c] += a
     cl_get = cl.__getitem__
 
-    # Coarse nets straight into CSR form (plain lists while building --
-    # list indexing returns cached objects where array indexing boxes --
-    # converted to typed buffers in one C pass at the end).  Two- and
-    # three-pin nets (the bulk of circuit netlists, and an ever larger
-    # share at coarse levels, where vertices merge faster than nets
-    # shrink) take branches that dedup and sort by direct comparisons,
-    # with no stamp work; larger nets dedup their pins through a stamp
-    # array (one fresh mark per deduping net).  Parallel-net dedup
-    # hashes each surviving sorted pin tuple once, via a single
-    # ``setdefault`` probe.
+    # Coarse nets straight into CSR form, as the plain lists the coarse
+    # graph then stores without a copy.  Two- and three-pin nets (the
+    # bulk of circuit netlists, and an ever larger share at coarse
+    # levels, where vertices merge faster than nets shrink) take
+    # branches that dedup and sort by direct comparisons, with no stamp
+    # work; larger nets dedup their pins through a stamp array (one
+    # fresh mark per deduping net).  Parallel-net dedup hashes each
+    # surviving sorted pin tuple once, via a single ``setdefault`` probe.
     stamp = [0] * k
     coarse_ptr: List[int] = [0]
     coarse_pins: List[int] = []
@@ -220,28 +217,16 @@ def contract(
     coarse = Hypergraph.from_buffers(
         {
             "num_vertices": k,
-            "net_ptr": array("q", coarse_ptr),
-            "net_pins": array("q", coarse_pins),
-            "vtx_ptr": array("q", vtx_ptr),
-            "vtx_nets": array("q", vtx_nets),
-            "areas": array("d", areas),
-            "net_weights": array("q", coarse_weights),
+            "net_ptr": coarse_ptr,
+            "net_pins": coarse_pins,
+            "vtx_ptr": vtx_ptr,
+            "vtx_nets": vtx_nets,
+            "areas": areas,
+            "net_weights": coarse_weights,
             "vertex_names": None,
             "net_names": None,
             "extra_resources": None,
         }
-    )
-    # The plain lists built above ARE the coarse graph's csr_lists();
-    # seeding the cache saves the tolist() round trip every downstream
-    # kernel (next-level matching, the next contract) would otherwise
-    # pay.  Consumers treat the views as read-only.
-    coarse._csr_lists = (
-        coarse_ptr,
-        coarse_pins,
-        vtx_ptr,
-        vtx_nets,
-        coarse_weights,
-        areas,
     )
     rec = _observe.active()
     if rec.enabled:

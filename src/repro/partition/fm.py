@@ -208,15 +208,11 @@ def flatten_graph(graph: Hypergraph, fixture: Sequence[int]) -> tuple:
     weights and vertex areas as plain lists, the free vertices, the
     largest total net weight of a free vertex, and the escape slack
     (the smallest positive free-vertex area).  The adjacency lists are
-    sliced from the graph's :meth:`Hypergraph.csr_lists` views when that
-    cache is already filled (coarse graphs come with it), and from fresh
-    copies otherwise.  The cache is deliberately left unfilled, since a
-    caller that keeps many graphs alive would otherwise keep their list
-    views alive too.
+    sliced from the graph's stored :meth:`Hypergraph.csr_lists`; the
+    weights and areas are those stored lists themselves, so binding an
+    engine copies no CSR.
     """
-    net_ptr, net_pins, vtx_ptr, vtx_nets, eweight, areas = (
-        graph._csr_lists or graph.build_csr_lists()
-    )
+    net_ptr, net_pins, vtx_ptr, vtx_nets, eweight, areas = graph.csr_lists()
     vnets = [vtx_nets[a:b] for a, b in zip(vtx_ptr, vtx_ptr[1:])]
     epins = [net_pins[a:b] for a, b in zip(net_ptr, net_ptr[1:])]
     movable = [v for v, f in enumerate(fixture) if f == FREE]

@@ -13,7 +13,7 @@ Kernel layout
 
 Each matcher is one loop over the vertices in shuffled order.  A visit
 scores (heavy-edge) or collects (random) the neighbours of ``v``
-straight off the CSR, through the cached plain-list views
+straight off the CSR, through the stored plain lists
 (:meth:`Hypergraph.csr_lists`), with matched neighbours pruned *before*
 anything accumulates -- exactly the reference's pruning -- and then
 applies one full filter: fixture compatibility (``f_v == FREE or

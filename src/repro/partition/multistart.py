@@ -103,21 +103,9 @@ class MultistartResult:
         """Best outcome overall."""
         return self.best_of_first(len(self.starts))
 
-    def total_seconds(self) -> float:
-        """Total wall-clock time of all starts."""
-        return sum(s.seconds for s in self.starts)
-
     def total_cpu_seconds(self) -> float:
         """Total CPU time of all starts (pool-size-invariant)."""
         return sum(s.cpu_seconds for s in self.starts)
-
-    def seconds_of_first(self, n: int) -> float:
-        """Wall-clock time of the first ``n`` starts."""
-        if not 1 <= n <= len(self.starts):
-            raise ValueError(
-                f"need 1 <= n <= {len(self.starts)}, got {n}"
-            )
-        return sum(s.seconds for s in self.starts[:n])
 
     def cpu_seconds_of_first(self, n: int) -> float:
         """CPU time of the first ``n`` starts (pool-size-invariant)."""

@@ -22,8 +22,6 @@ saved trace.
 
 from __future__ import annotations
 
-from typing import Any, Union
-
 from repro.runtime.observe.recorder import (
     NullRecorder,
     TracedValue,
@@ -53,35 +51,11 @@ __all__ = [
     "TracedValue",
     "TraceRecorder",
     "active",
-    "count",
-    "event",
-    "hist",
     "load_trace",
     "merge_counters",
     "merge_histograms",
     "set_recorder",
-    "span",
     "span_shape",
     "trace_shape",
     "use",
 ]
-
-
-def span(name: str, **attrs: Any):
-    """``active().span(...)`` -- convenience for scripts and tests."""
-    return active().span(name, **attrs)
-
-
-def count(name: str, value: Union[int, float] = 1) -> None:
-    """``active().count(...)`` -- convenience for scripts and tests."""
-    active().count(name, value)
-
-
-def event(name: str, **fields: Any) -> None:
-    """``active().event(...)`` -- convenience for scripts and tests."""
-    active().event(name, **fields)
-
-
-def hist(name: str, value: Union[int, float]) -> None:
-    """``active().hist(...)`` -- convenience for scripts and tests."""
-    active().hist(name, value)

@@ -1,7 +1,6 @@
 """Property tests for the flat-buffer round trip of :class:`Hypergraph`."""
 
 import pickle
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -102,21 +101,28 @@ class TestBufferRoundTrip:
             back.net_pins(e) for e in range(back.num_nets)
         ]
 
-    def test_buffers_are_typed_arrays(self, small_hypergraph):
+    def test_buffers_are_the_stored_lists(self, small_hypergraph):
         buffers = small_hypergraph.to_buffers()
-        for key in ("net_ptr", "net_pins", "vtx_ptr", "vtx_nets"):
-            assert isinstance(buffers[key], array)
-            assert buffers[key].typecode == "q"
-        assert buffers["areas"].typecode == "d"
+        keys = (
+            "net_ptr", "net_pins", "vtx_ptr", "vtx_nets",
+            "net_weights", "areas",
+        )
+        for _ in range(2):
+            lists = small_hypergraph.csr_lists()
+            assert len(lists) == len(keys)
+            for key, value in zip(keys, lists):
+                assert type(value) is list
+                assert value is buffers[key]
 
     def test_from_buffers_accepts_plain_sequences(self):
         g = Hypergraph([[0, 1], [1, 2]], num_vertices=3)
         buffers = {
-            key: (value.tolist() if isinstance(value, array) else value)
+            key: (tuple(value) if isinstance(value, list) else value)
             for key, value in g.to_buffers().items()
         }
         back = Hypergraph.from_buffers(buffers)
         assert back.structurally_equal(g)
+        assert all(type(value) is list for value in back.csr_lists())
 
     def test_corrupt_buffers_rejected(self, small_hypergraph):
         buffers = dict(small_hypergraph.to_buffers())

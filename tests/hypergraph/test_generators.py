@@ -15,12 +15,46 @@ from repro.hypergraph import (
 from tests.oracles.rent_reference import rent_exponent_estimate
 
 
-class TestCircuitGenerator:
+class CircuitShapeChecks:
+    """Checks every circuit generator layout must meet, run once per
+    ``CircuitSpec.dimensions`` by the subclasses below."""
+
+    dimensions = 2
+
+    def spec(self, **kwargs) -> CircuitSpec:
+        return CircuitSpec(dimensions=self.dimensions, **kwargs)
+
     def test_deterministic(self):
-        a = generate_circuit(CircuitSpec(num_cells=200), seed=5)
-        b = generate_circuit(CircuitSpec(num_cells=200), seed=5)
+        a = generate_circuit(self.spec(num_cells=200), seed=5)
+        b = generate_circuit(self.spec(num_cells=200), seed=5)
         assert a.graph.structurally_equal(b.graph)
 
+    def test_pins_per_cell_near_target(self):
+        spec = self.spec(num_cells=2000, pins_per_cell=3.5)
+        circ = generate_circuit(spec, seed=3)
+        # Pins on cells only (exclude pad pins) per cell.
+        cell_pins = sum(
+            circ.graph.vertex_degree(v) for v in circ.cell_vertices
+        )
+        assert 3.0 <= cell_pins / spec.num_cells <= 4.3
+
+    def test_net_sizes_bounded_and_dominated_by_small(self):
+        spec = self.spec(num_cells=2000, net_size_cap=12)
+        circ = generate_circuit(spec, seed=4)
+        stats = compute_stats(circ.graph)
+        assert max(stats.net_size_histogram) <= 12
+        two_three = stats.net_size_histogram.get(2, 0) + (
+            stats.net_size_histogram.get(3, 0)
+        )
+        assert two_three > 0.6 * circ.graph.num_nets
+
+    def test_structurally_valid(self):
+        circ = generate_circuit(self.spec(num_cells=400), seed=6)
+        report = validate_hypergraph(circ.graph)
+        assert report.ok, report.errors
+
+
+class TestCircuitGenerator(CircuitShapeChecks):
     def test_seed_changes_output(self):
         a = generate_circuit(CircuitSpec(num_cells=200), seed=5)
         b = generate_circuit(CircuitSpec(num_cells=200), seed=6)
@@ -39,25 +73,6 @@ class TestCircuitGenerator:
         assert all(circ.is_pad(p) for p in circ.pad_vertices)
         assert not circ.is_pad(0)
 
-    def test_pins_per_cell_near_target(self):
-        spec = CircuitSpec(num_cells=2000, pins_per_cell=3.5)
-        circ = generate_circuit(spec, seed=3)
-        # Pins on cells only (exclude pad pins) per cell.
-        cell_pins = sum(
-            circ.graph.vertex_degree(v) for v in circ.cell_vertices
-        )
-        assert 3.0 <= cell_pins / spec.num_cells <= 4.3
-
-    def test_net_sizes_bounded_and_dominated_by_small(self):
-        spec = CircuitSpec(num_cells=2000, net_size_cap=12)
-        circ = generate_circuit(spec, seed=4)
-        stats = compute_stats(circ.graph)
-        assert max(stats.net_size_histogram) <= 12
-        two_three = stats.net_size_histogram.get(2, 0) + (
-            stats.net_size_histogram.get(3, 0)
-        )
-        assert two_three > 0.6 * circ.graph.num_nets
-
     def test_large_cells_present(self):
         spec = CircuitSpec(
             num_cells=1000, num_large_cells=3, large_cell_area_percent=2.0
@@ -71,11 +86,6 @@ class TestCircuitGenerator:
         circ = generate_circuit(spec, seed=5)
         stats = compute_stats(circ.graph)
         assert stats.max_area_percent < 1.0
-
-    def test_structurally_valid(self):
-        circ = generate_circuit(CircuitSpec(num_cells=400), seed=6)
-        report = validate_hypergraph(circ.graph)
-        assert report.ok, report.errors
 
     def test_explicit_pad_count(self):
         spec = CircuitSpec(num_cells=300, num_pads=10)
@@ -131,6 +141,10 @@ class TestCircuitGenerator:
             return sum(values) / len(values)
 
         assert estimate(3.0) < estimate(0.9) - 0.1
+
+
+class TestOneDimensionalCircuitGenerator(CircuitShapeChecks):
+    dimensions = 1
 
 
 class TestStructuredGenerators:

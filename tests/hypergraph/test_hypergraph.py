@@ -40,6 +40,10 @@ class TestConstruction:
         with pytest.raises(HypergraphError):
             Hypergraph([[0, 3]], num_vertices=3)
 
+    def test_non_integer_vertex_id_rejected(self):
+        with pytest.raises(TypeError):
+            Hypergraph([[0, 1.0]], num_vertices=2)
+
     def test_duplicate_pin_rejected(self):
         with pytest.raises(HypergraphError):
             Hypergraph([[0, 1, 0]], num_vertices=2)

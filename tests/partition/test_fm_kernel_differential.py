@@ -34,7 +34,6 @@ from repro.partition import (
     relative_balance,
     relative_bipartition_balance,
 )
-from repro.partition.fm import flatten_graph
 from tests.oracles.kwayfm_reference import ReferenceKWayFMRefiner
 
 FIXED_FRACTIONS = (0.0, 0.2, 0.5)
@@ -420,28 +419,22 @@ def test_fm_kernel_buffers_follow_rebind_to_smaller_and_larger_graphs():
         )
 
 
-def test_engine_binding_leaves_the_graph_csr_cache_empty():
-    """Binding either FM engine leaves ``Hypergraph.csr_lists()``'s
-    cache unfilled: the engines slice their adjacency from fresh list
-    copies of the CSR buffers, or from the cached views when a caller
-    (contraction, matching) has already filled them.
+@pytest.mark.parametrize("engine", ["fm", "kway"])
+def test_engine_binding_copies_no_csr(engine):
+    """Binding either FM engine copies none of the graph's CSR: the
+    weights and areas ``flatten_graph`` hands the engine are the graph's
+    own stored lists.
 
-    A cache on the graph lives as long as the graph does.  perfbench
-    keeps every placer bisection graph of ``table4-ibm01s`` alive until
-    it re-verifies the placement, and a version of the engines that
-    filled the cache raised that workload's peak RSS from 50.4 to
-    56.8 MiB (+13%)."""
+    perfbench keeps every placer bisection graph of ``table4-ibm01s``
+    alive until it re-verifies the placement, so a per-graph copy made
+    at binding would live as long as the graph does."""
     rng = random.Random(3)
     graph = _equal_area_graph(rng, 30, 45)
-    FMBipartitioner(graph, relative_bipartition_balance(40.0, 0.2))
-    assert graph._csr_lists is None
-    other = _equal_area_graph(rng, 20, 30)
-    engine = FMBipartitioner(other, relative_bipartition_balance(40.0, 0.2))
-    engine.rebind(graph, [FREE] * graph.num_vertices)
-    assert other._csr_lists is None and graph._csr_lists is None
-    graph = _equal_area_graph(rng, 30, 45)
-    KWayFMRefiner(graph, relative_balance(40.0, 3, 0.2))
-    assert graph._csr_lists is None
-    cached = graph.csr_lists()
-    flat = flatten_graph(graph, [FREE] * graph.num_vertices)
-    assert flat[2] is cached[4] and flat[3] is cached[5]
+    _, _, _, _, net_weights, areas = graph.csr_lists()
+    if engine == "fm":
+        bound = FMBipartitioner(
+            graph, relative_bipartition_balance(40.0, 0.2)
+        )
+    else:
+        bound = KWayFMRefiner(graph, relative_balance(40.0, 3, 0.2))
+    assert bound._eweight is net_weights and bound._areas is areas

@@ -49,14 +49,14 @@ class TestRunMultistart:
         with pytest.raises(ValueError):
             result.best_of_first(4)
         with pytest.raises(ValueError):
-            result.seconds_of_first(9)
+            result.cpu_seconds_of_first(9)
 
     def test_times_accumulate(self, chain20):
         result = run_multistart(self._runner(chain20), 4, seed=5)
-        assert result.total_seconds() == pytest.approx(
-            result.seconds_of_first(4)
+        assert result.total_cpu_seconds() == pytest.approx(
+            result.cpu_seconds_of_first(4)
         )
-        assert result.seconds_of_first(2) <= result.total_seconds()
+        assert result.cpu_seconds_of_first(2) <= result.total_cpu_seconds()
 
     def test_zero_starts_rejected(self, chain20):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import pickle
 
 import pytest
 
-from repro.runtime import observe
 from repro.runtime.observe import (
     NullRecorder,
     TraceRecorder,
@@ -51,19 +50,6 @@ class TestNullRecorder:
         assert rec.fragment() == {
             "spans": [], "events": [], "counters": {}, "histograms": {}
         }
-
-    def test_module_level_helpers_hit_the_active_recorder(self):
-        rec = TraceRecorder()
-        with use(rec):
-            observe.count("helper.counter", 2)
-            observe.hist("helper.hist", 5)
-            observe.event("helper.event", x=1)
-            with observe.span("helper.span", tag="t"):
-                pass
-        assert rec.counters == {"helper.counter": 2}
-        assert rec.histograms == {"helper.hist": {5: 1}}
-        assert rec.events[0]["name"] == "helper.event"
-        assert rec.roots[0].name == "helper.span"
 
 
 class TestActiveRecorderSwitch:

@@ -388,6 +388,42 @@ class TestExperiment:
         assert jobs_seen == [2]
         assert "interior bump reported, not gated" in capsys.readouterr().out
 
+    def test_fig1_renders_the_difficulty_study(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments import figures
+
+        checks_seen = []
+        real_checks = figures.shape_checks
+
+        def recording_checks(study):
+            checks = real_checks(study)
+            checks_seen.extend(checks)
+            return checks
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(
+            figures.PROFILES,
+            ("fig1", "quick"),
+            figures.FigureProfile(
+                circuit="tiny01",
+                percents=(0.0, 20.0),
+                starts_list=(1, 2),
+                trials=1,
+            ),
+        )
+        monkeypatch.setattr(figures, "shape_checks", recording_checks)
+        rc = main(["experiment", "fig1"])
+        out = capsys.readouterr().out
+        assert "Difficulty study" in out
+        verdicts = re.findall(r"^\[(PASS|FAIL)\] ", out, flags=re.MULTILINE)
+        assert checks_seen and len(verdicts) == len(checks_seen)
+        # The tiny profile's verdicts are not pinned (its CPU checks can
+        # flip under load); the exit status must follow the printed ones.
+        assert rc == (1 if "FAIL" in verdicts else 0)
+        written = (tmp_path / "results" / "fig1_quick.txt").read_text()
+        assert "Difficulty study" in written
+
     def test_table4_ignores_resume(self, capsys, tmp_path, monkeypatch):
         from repro.experiments import table4
 
