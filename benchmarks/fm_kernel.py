@@ -196,9 +196,10 @@ def _bench_fm(
     num_starts: int,
     seed: int,
     move_limit_fraction: float = 1.0,
+    tolerance: float = 0.1,
 ) -> Dict:
     """Time reference vs. kernel 2-way FM over identical starts."""
-    balance = relative_bipartition_balance(graph.total_area, 0.1)
+    balance = relative_bipartition_balance(graph.total_area, tolerance)
     fixture = _fixture(graph, fraction, 2, seed)
     config = FMConfig(
         policy=policy,
@@ -236,6 +237,7 @@ def _bench_fm(
         "policy": policy,
         "fixed_fraction": fraction,
         "move_limit_fraction": move_limit_fraction,
+        "tolerance": tolerance,
         "starts": num_starts,
         "cuts": [r.solution.cut for r in kernel_results],
         "total_moves": total_moves,
@@ -346,24 +348,29 @@ def main(argv=None) -> int:
                     f"({entry['speedup']:.2f}x, identical="
                     f"{entry['results_identical']})"
                 )
-        # The paper's Section III pass cutoff: passes after the first
-        # stop at a fraction of the movable vertices.  Short passes are
-        # where incremental pass state matters most: the restore replays
+        # Two CLIP entries at 20% fixed beside the 10%-window grid:
+        # the paper's Section III pass cutoff (passes after the first
+        # stop at 10% of the movable vertices; short passes are where
+        # incremental pass state matters most, as the restore replays
         # O(min(moves kept, moves undone)) moves instead of an O(pins)
-        # rebuild.
-        entry = _bench_fm(
-            graph, "clip", 0.2, num_starts, seed=42,
-            move_limit_fraction=0.1,
-        )
-        entry["instance"] = name
-        entries.append(entry)
-        print(
-            f"  fm2/clip cutoff=10% fixed=20%: "
-            f"{entry['reference_seconds']:.2f}s -> "
-            f"{entry['kernel_seconds']:.2f}s "
-            f"({entry['speedup']:.2f}x, identical="
-            f"{entry['results_identical']})"
-        )
+        # rebuild), and the paper's 2% balance tolerance (windows a few
+        # cells wide, so selection steps past balance-blocked cells).
+        for label, options in (
+            ("cutoff=10%", {"move_limit_fraction": 0.1}),
+            ("tolerance=2%", {"tolerance": 0.02}),
+        ):
+            entry = _bench_fm(
+                graph, "clip", 0.2, num_starts, seed=42, **options
+            )
+            entry["instance"] = name
+            entries.append(entry)
+            print(
+                f"  fm2/clip {label} fixed=20%: "
+                f"{entry['reference_seconds']:.2f}s -> "
+                f"{entry['kernel_seconds']:.2f}s "
+                f"({entry['speedup']:.2f}x, identical="
+                f"{entry['results_identical']})"
+            )
         entry = _bench_kway(graph, 4, 0.2, max(2, num_starts - 1), seed=42)
         entry["instance"] = name
         entries.append(entry)

@@ -28,14 +28,22 @@ Kernel layout
 The inner loop is a flat-array kernel.  The engine owns persistent
 plain-list buffers -- per-side net pin counts (``_cnt0/_cnt1``),
 per-side pin-id sums (``_ids0/_ids1``) and the per-vertex exact gains
-(``_gain``) -- plus one reusable :class:`GainBucket` per side.  Lists,
-not :mod:`array` buffers: list subscripts return the stored int object
-and the interpreter specializes them, where every ``array`` access
-boxes or unboxes a fresh int (docs/performance.md, "Buffer layout").
-The invariants:
+(``_gain``) -- the per-net ``_pair`` list, and one reusable
+:class:`GainBucket` per side.  Lists, not :mod:`array` buffers: list
+subscripts return the stored int object and the interpreter
+specializes them, where every ``array`` access boxes or unboxes a
+fresh int (docs/performance.md, "Buffer layout").  The invariants:
 
-* Between passes, ``cnt``/``ids`` and ``gain`` are exact with respect
-  to ``parts``.  A pass mutates them move by move, and the end-of-pass
+* ``pair[e]`` is the pin-id sum of net ``e`` if it has two pins and
+  positive weight, and -1 otherwise.  Such a net is a graph edge to the
+  kernel: when ``v`` moves, the other pin ``u = pair[e] - v`` gains
+  ``2w`` if it shares ``v``'s side (the net becomes cut) and loses
+  ``2w`` otherwise, in one bucket relink, and the net's pin counts are
+  never touched.
+* Between passes, ``cnt``/``ids`` are exact with respect to ``parts``
+  for every net with ``pair[e] < 0`` (for the others they hold stale
+  values nothing reads), and ``gain`` is exact for every movable
+  vertex.  A pass mutates them move by move, and the end-of-pass
   rollback restores them *incrementally*: one replay loop flips each
   vertex of either the undone suffix (backwards, on the end-of-pass
   state) or the kept prefix (forwards, on the copied-back pass-start
@@ -48,9 +56,14 @@ The invariants:
 * A whole-net gain update touches pins of one side only: before a move
   from ``s`` to ``t`` a net with no pin on ``t`` has every pin on ``s``,
   and after it a net with no pin on ``s`` has every pin on ``t``.  So
-  each of the six bucket relinks of a move reads a single side's
-  bucket views, guarded by that side's ``present`` flag (locked pins
-  only need their gain scalar kept current for the next pass).
+  each of the six bucket relink sites of a move (the two-pin edge, once
+  per side of ``u``; the whole-net and single-pin updates, before and
+  after the counts change) reads a single side's bucket views, guarded
+  by that side's ``present`` flag (locked pins only need their gain
+  scalar kept current for the next pass).
+* Selection skips, before its float balance test, every vertex whose
+  area exceeds a per-side bound the balance gate would reject it by
+  anyway (see the selection comment in :meth:`FMBipartitioner._run_pass`).
 
 The kernel preserves the *exact* move sequence of the straightforward
 implementation retained in :mod:`repro.partition.fm_reference`: same
@@ -371,6 +384,14 @@ class FMBipartitioner:
             self._escape_slack,
         ) = flatten_graph(graph, self.fixture)
         self._free_mask: List[bool] = [f == FREE for f in self.fixture]
+        # Two-pin nets of positive weight are plain graph edges to the
+        # kernel: pair[e] is the pin-id sum, so the other pin of v is
+        # pair[e] - v.  Every other net (wider, single-pin or of zero
+        # weight) reads -1 and takes the counted path.
+        self._pair: List[int] = [
+            pins[0] + pins[1] if len(pins) == 2 and w else -1
+            for pins, w in zip(self._epins, self._eweight)
+        ]
 
         # Kernel buffers, resized in place.  cnt/ids are fully rewritten
         # by _init_run_state and gain is set per movable vertex, so stale
@@ -487,9 +508,11 @@ class FMBipartitioner:
         """Derive cnt/ids/gain from ``parts`` (once per run); return the
         cut of ``parts``, read off the side counts of the same pin walk.
 
-        Subsequent passes keep these buffers exact incrementally: moves
-        update them forward and the rollback replays moves to the best
-        prefix, so no per-pass rebuild is needed.
+        Subsequent passes keep these buffers exact incrementally (the
+        counts and id sums of counted nets, ``pair[e] < 0``, and every
+        movable gain): moves update them forward and the rollback
+        replays moves to the best prefix, so no per-pass rebuild is
+        needed.
         """
         cnt0 = self._cnt0
         cnt1 = self._cnt1
@@ -657,6 +680,7 @@ class FMBipartitioner:
         start1 = t1 if fifo else h1
         nav0 = p0 if fifo else n0
         nav1 = p1 if fifo else n1
+        pair = self._pair
 
         cut_before = cut
         move_log: List[int] = []
@@ -669,6 +693,24 @@ class FMBipartitioner:
         bk_state, bk_a, bk_b = self._quality_key(cut, loads)
         l0 = loads[0]
         l1 = loads[1]
+        # Total balance violation of the current loads, summed in
+        # BalanceConstraint.violation's order; the best-prefix tracking
+        # recomputes it after every move.
+        viol = 0.0
+        if l0 < mn0:
+            viol = mn0 - l0
+        elif l0 > mx0:
+            viol = l0 - mx0
+        if l1 < mn1:
+            viol += mn1 - l1
+        elif l1 > mx1:
+            viol += l1 - mx1
+        # Margin of the selection's area prefilter: far above the float
+        # rounding of any load, area or bound of the pass, so the
+        # prefilter never skips a vertex the balance gate would admit.
+        eps = 1e-9 * (
+            abs(l0) + abs(l1) + abs(mn0) + abs(mn1) + abs(mx0) + abs(mx1)
+        )
 
         # Adaptive stopping state (see ADAPTIVE_STOP_ALPHA): Welford
         # running mean/sum of squared deviations of the move gains since
@@ -684,108 +726,97 @@ class FMBipartitioner:
         while nmoves < move_limit:
             # ---- selection: first allowed vertex of the best bucket ---
             # The balance gate admits a move that is strictly feasible
-            # or reduces the total violation (BalanceConstraint.
-            # allows_move; the "before" violation is loop-invariant per
-            # side and hoisted), plus an escape hatch: a move off the
-            # heavier (or equal) side whose resulting violation stays
-            # within the escape slack.  With a balance window narrower
-            # than one cell *every* move transiently violates it, and
-            # without the hatch FM would deadlock at the first tight
-            # bisection.  The rollback still restores the best
-            # *feasible* prefix, so final solutions never rely on it.
+            # or reduces the total violation ``viol``
+            # (BalanceConstraint.allows_move), plus an escape hatch: a
+            # move off the heavier (or equal) side whose resulting
+            # violation stays within the escape slack.  With a balance
+            # window narrower than one cell *every* move transiently
+            # violates it, and without the hatch FM would deadlock at
+            # the first tight bisection.  The rollback still restores
+            # the best *feasible* prefix, so final solutions never rely
+            # on it.
+            #
+            # Area prefilter: moving a vertex of area a leaves its
+            # source at load - a, which the gate rejects once the
+            # source's shortfall alone, min_load - (load - a), exceeds
+            # every violation it forgives: viol, and the slack when the
+            # hatch applies.  So a vertex with a > hi skips the float
+            # test.
             best_v = -1
-            best_sel_key = 0
-            best_side = 0
+            s = 0
+            lo = 0
             # Side 0 scan (first feasible vertex of the best bucket).
             idx = maxi[0]
             if idx >= 0:
-                before = 0.0
-                if l0 < mn0:
-                    before = mn0 - l0
-                elif l0 > mx0:
-                    before = l0 - mx0
-                if l1 < mn1:
-                    before += mn1 - l1
-                elif l1 > mx1:
-                    before += l1 - mx1
                 hatch_ok = l0 >= l1
+                hi = l0 - mn0 + eps + (
+                    slack if hatch_ok and slack > viol else viol
+                )
                 while idx >= 0:
                     v = start0[idx]
                     while v != NIL:
                         av = areas[v]
-                        ns = l0 - av
-                        nt = l1 + av
-                        if mn0 <= ns <= mx0 and mn1 <= nt <= mx1:
-                            break
-                        after = 0.0
-                        if ns < mn0:
-                            after = mn0 - ns
-                        elif ns > mx0:
-                            after = ns - mx0
-                        if nt < mn1:
-                            after += mn1 - nt
-                        elif nt > mx1:
-                            after += nt - mx1
-                        if after < before or (hatch_ok and after <= slack):
-                            break
+                        if av <= hi:
+                            ns = l0 - av
+                            nt = l1 + av
+                            if mn0 <= ns <= mx0 and mn1 <= nt <= mx1:
+                                break
+                            after = 0.0
+                            if ns < mn0:
+                                after = mn0 - ns
+                            elif ns > mx0:
+                                after = ns - mx0
+                            if nt < mn1:
+                                after += mn1 - nt
+                            elif nt > mx1:
+                                after += nt - mx1
+                            if after < viol or (hatch_ok and after <= slack):
+                                break
                         v = nav0[v]
                     if v != NIL:
                         best_v = v
-                        best_sel_key = idx - limit
+                        lo = idx
                         break
                     idx -= 1
-            # Side 1 scan; buckets strictly below side 0's best key are
-            # pruned, equal keys tie-break to the heavier source side.
+            # Side 1 scan; buckets strictly below side 0's best index
+            # ``lo`` are pruned, equal keys tie-break to the heavier
+            # source side.
             idx = maxi[1]
-            if idx >= 0 and not (best_v >= 0 and idx - limit < best_sel_key):
-                before = 0.0
-                if l1 < mn1:
-                    before = mn1 - l1
-                elif l1 > mx1:
-                    before = l1 - mx1
-                if l0 < mn0:
-                    before += mn0 - l0
-                elif l0 > mx0:
-                    before += l0 - mx0
+            if idx >= lo:
                 hatch_ok = l1 >= l0
-                while idx >= 0:
-                    if best_v >= 0 and idx - limit < best_sel_key:
-                        break
+                hi = l1 - mn1 + eps + (
+                    slack if hatch_ok and slack > viol else viol
+                )
+                while idx >= lo:
                     v = start1[idx]
                     while v != NIL:
                         av = areas[v]
-                        ns = l1 - av
-                        nt = l0 + av
-                        if mn1 <= ns <= mx1 and mn0 <= nt <= mx0:
-                            break
-                        after = 0.0
-                        if ns < mn1:
-                            after = mn1 - ns
-                        elif ns > mx1:
-                            after = ns - mx1
-                        if nt < mn0:
-                            after += mn0 - nt
-                        elif nt > mx0:
-                            after += nt - mx0
-                        if after < before or (hatch_ok and after <= slack):
-                            break
+                        if av <= hi:
+                            ns = l1 - av
+                            nt = l0 + av
+                            if mn1 <= ns <= mx1 and mn0 <= nt <= mx0:
+                                break
+                            after = 0.0
+                            if ns < mn1:
+                                after = mn1 - ns
+                            elif ns > mx1:
+                                after = ns - mx1
+                            if nt < mn0:
+                                after += mn0 - nt
+                            elif nt > mx0:
+                                after += nt - mx0
+                            if after < viol or (hatch_ok and after <= slack):
+                                break
                         v = nav1[v]
                     if v != NIL:
-                        key = idx - limit
-                        if (
-                            best_v < 0
-                            or key > best_sel_key
-                            or (key == best_sel_key and l1 > l0)
-                        ):
+                        if best_v < 0 or idx > lo or l1 > l0:
                             best_v = v
-                            best_side = 1
-                            best_sel_key = key
+                            s = 1
                         break
                     idx -= 1
             if best_v < 0:
                 break
             v = best_v
-            s = best_side
             t = 1 - s
 
             # Per-side views for the remove and the delta propagation
@@ -831,27 +862,29 @@ class FMBipartitioner:
             cut -= gv
 
             # ---- delta-gain propagation around each net of v --------
-            # ``v`` itself is locked, so gain updates skip it; its own
-            # gain flips sign exactly (the move reverses every one of
-            # its net contributions).  Every +w update is to a source-
-            # side pin and every -w update to a target-side pin, so each
-            # relink reads one side's bucket views.  Bucket adjusts are
-            # inlined and sign-specialized: a +w adjust can only raise
-            # the max index (if the source bucket was the max, the
-            # destination is higher still), a -w adjust can only lower
-            # it (walk down when the max bucket empties).
+            # ``v`` is locked and its gain flips sign exactly (the move
+            # reverses every one of its net contributions), so the
+            # whole-net scans need not skip it: ``gain[v] = -gv`` below
+            # overwrites whatever they add.  Every + update is to a
+            # source-side pin and every - update to a target-side pin,
+            # so each relink reads one side's bucket views.  Bucket
+            # adjusts are inlined and sign-specialized: a + adjust can
+            # only raise the max index (if the source bucket was the
+            # max, the destination is higher still), a - adjust can
+            # only lower it (walk down when the max bucket empties).
             for e in vnets[v]:
-                w = eweight[e]
-                if w:
-                    ct = ct_[e]
-                    # ct == 0 means every pin of the net is on the
-                    # source side, so cs equals the net size: cs == 2 is
-                    # the dominant two-pin-net case, where the other pin
-                    # is the id-sum minus v -- no epins scan at all.
-                    cs2 = cs_[e] if ct == 0 else 0
-                    if cs2 == 2:
-                        u = iss_[e] - v
-                        if free[u]:
+                u = pair[e]
+                if u >= 0:
+                    # Two-pin net: the other pin u = pair[e] - v gains
+                    # 2w if it shares v's side (the net becomes cut)
+                    # and loses 2w otherwise (it becomes uncut).  One
+                    # relink by 2w leaves the same bucket lists and max
+                    # index as two consecutive relinks by w; the net's
+                    # cnt/ids are not kept.
+                    u -= v
+                    if free[u]:
+                        w = 2 * eweight[e]
+                        if parts[u] == s:
                             gain[u] += w
                             if pres_s[u]:
                                 kk = ky[u]
@@ -878,9 +911,48 @@ class FMBipartitioner:
                                 ky[u] = kk + w
                                 if idx2 > maxi[s]:
                                     maxi[s] = idx2
-                    elif cs2 > 2:
+                        else:
+                            gain[u] -= w
+                            if pres_t[u]:
+                                kk = kt_[u]
+                                idxo = kk + limit
+                                pu = pt_[u]
+                                nu = nt_[u]
+                                if pu != NIL:
+                                    nt_[pu] = nu
+                                else:
+                                    ht_[idxo] = nu
+                                if nu != NIL:
+                                    pt_[nu] = pu
+                                else:
+                                    tt_[idxo] = pu
+                                idx2 = idxo - w
+                                oh = ht_[idx2]
+                                nt_[u] = oh
+                                pt_[u] = NIL
+                                if oh != NIL:
+                                    pt_[oh] = u
+                                else:
+                                    tt_[idx2] = u
+                                ht_[idx2] = u
+                                kt_[u] = kk - w
+                                if idxo == maxi[t] and ht_[idxo] == NIL:
+                                    m = idxo
+                                    while ht_[m] == NIL:
+                                        m -= 1
+                                    maxi[t] = m
+                    continue
+                # Counted net: cs/ct are the pin counts after the move.
+                w = eweight[e]
+                cs = cs_[e] - 1
+                ct = ct_[e] + 1
+                cs_[e] = cs
+                ct_[e] = ct
+                if w:
+                    if ct == 1:
+                        # Every pin was on the source side: each gains w.
                         for u in epins[e]:
-                            if u != v and free[u]:
+                            if free[u]:
                                 gain[u] += w
                                 if pres_s[u]:
                                     kk = ky[u]
@@ -907,7 +979,9 @@ class FMBipartitioner:
                                     ky[u] = kk + w
                                     if idx2 > maxi[s]:
                                         maxi[s] = idx2
-                    elif ct == 1:
+                    elif ct == 2:
+                        # One pin was on the target side (its id sum
+                        # before v joins): it loses w.
                         u = ist_[e]
                         if free[u]:
                             gain[u] -= w
@@ -939,51 +1013,11 @@ class FMBipartitioner:
                                     while ht_[m] == NIL:
                                         m -= 1
                                     maxi[t] = m
-                cs_[e] -= 1
-                ct_[e] += 1
-                iss_[e] -= v
-                ist_[e] += v
-                if w:
-                    cs = cs_[e]
-                    # cs == 0 means every pin of the net is now on the
-                    # target side (ct includes v), so ct == 2 is again
-                    # the two-pin-net case with an O(1) other-pin.
-                    ct2 = ct_[e] if cs == 0 else 0
-                    if ct2 == 2:
-                        u = ist_[e] - v
-                        if free[u]:
-                            gain[u] -= w
-                            if pres_t[u]:
-                                kk = kt_[u]
-                                idxo = kk + limit
-                                pu = pt_[u]
-                                nu = nt_[u]
-                                if pu != NIL:
-                                    nt_[pu] = nu
-                                else:
-                                    ht_[idxo] = nu
-                                if nu != NIL:
-                                    pt_[nu] = pu
-                                else:
-                                    tt_[idxo] = pu
-                                idx2 = idxo - w
-                                oh = ht_[idx2]
-                                nt_[u] = oh
-                                pt_[u] = NIL
-                                if oh != NIL:
-                                    pt_[oh] = u
-                                else:
-                                    tt_[idx2] = u
-                                ht_[idx2] = u
-                                kt_[u] = kk - w
-                                if idxo == maxi[t] and ht_[idxo] == NIL:
-                                    m = idxo
-                                    while ht_[m] == NIL:
-                                        m -= 1
-                                    maxi[t] = m
-                    elif ct2 > 2:
+                    if cs == 0:
+                        # Every pin is now on the target side: each
+                        # loses w.
                         for u in epins[e]:
-                            if u != v and free[u]:
+                            if free[u]:
                                 gain[u] -= w
                                 if pres_t[u]:
                                     kk = kt_[u]
@@ -1014,7 +1048,8 @@ class FMBipartitioner:
                                             m -= 1
                                         maxi[t] = m
                     elif cs == 1:
-                        u = iss_[e]
+                        # One pin is left on the source side: it gains w.
+                        u = iss_[e] - v
                         if free[u]:
                             gain[u] += w
                             if pres_s[u]:
@@ -1042,6 +1077,8 @@ class FMBipartitioner:
                                 ky[u] = kk + w
                                 if idx2 > maxi[s]:
                                     maxi[s] = idx2
+                iss_[e] -= v
+                ist_[e] += v
 
             parts[v] = t
             gain[v] = -gv
@@ -1138,48 +1175,48 @@ class FMBipartitioner:
         else:
             replay = undone[::-1]
         for v in replay:
-            if parts[v]:
+            s = parts[v]
+            if s:
                 cs_, ct_, iss_, ist_ = cnt1, cnt0, ids1, ids0
             else:
                 cs_, ct_, iss_, ist_ = cnt0, cnt1, ids0, ids1
+            gv = gain[v]
             for e in vnets[v]:
+                u = pair[e]
+                if u >= 0:
+                    u -= v
+                    if free[u]:
+                        if parts[u] == s:
+                            gain[u] += 2 * eweight[e]
+                        else:
+                            gain[u] -= 2 * eweight[e]
+                    continue
                 w = eweight[e]
+                cs = cs_[e] - 1
+                ct = ct_[e] + 1
+                cs_[e] = cs
+                ct_[e] = ct
                 if w:
-                    ct = ct_[e]
-                    cs2 = cs_[e] if ct == 0 else 0
-                    if cs2 == 2:
-                        u = iss_[e] - v
-                        if free[u]:
-                            gain[u] += w
-                    elif cs2 > 2:
+                    if ct == 1:
                         for u in epins[e]:
-                            if u != v and free[u]:
+                            if free[u]:
                                 gain[u] += w
-                    elif ct == 1:
+                    elif ct == 2:
                         u = ist_[e]
                         if free[u]:
                             gain[u] -= w
-                cs_[e] -= 1
-                ct_[e] += 1
-                iss_[e] -= v
-                ist_[e] += v
-                if w:
-                    cs = cs_[e]
-                    ct2 = ct_[e] if cs == 0 else 0
-                    if ct2 == 2:
-                        u = ist_[e] - v
-                        if free[u]:
-                            gain[u] -= w
-                    elif ct2 > 2:
+                    if cs == 0:
                         for u in epins[e]:
-                            if u != v and free[u]:
+                            if free[u]:
                                 gain[u] -= w
                     elif cs == 1:
-                        u = iss_[e]
+                        u = iss_[e] - v
                         if free[u]:
                             gain[u] += w
-            parts[v] = 1 - parts[v]
-            gain[v] = -gain[v]
+                iss_[e] -= v
+                ist_[e] += v
+            parts[v] = 1 - s
+            gain[v] = -gv
         cut = best_cut
 
         record = PassRecord(

@@ -17,12 +17,13 @@ from-scratch derivation from the returned parts.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.hypergraph import Hypergraph
 from repro.partition import (
     FREE,
+    BalanceConstraint,
     FMBipartitioner,
     FMConfig,
     KWayFMConfig,
@@ -63,9 +64,10 @@ def _kway_fingerprint(result):
 
 
 @st.composite
-def kernel_instances(draw):
-    """Random (graph, seed) pairs; areas include non-integer values so
-    the restore paths exercise exact float load arithmetic."""
+def kernel_instances(draw, area_values=(0.0, 0.5, 1.0, 1.5, 2.0, 3.0)):
+    """Random (graph, seed) pairs; areas drawn from ``area_values``
+    include non-integer values so the restore paths exercise exact float
+    load arithmetic."""
     n = draw(st.integers(min_value=2, max_value=16))
     num_nets = draw(st.integers(min_value=1, max_value=28))
     nets = []
@@ -88,11 +90,7 @@ def kernel_instances(draw):
         )
     )
     areas = draw(
-        st.lists(
-            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
-            min_size=n,
-            max_size=n,
-        )
+        st.lists(st.sampled_from(area_values), min_size=n, max_size=n)
     )
     if sum(areas) == 0:
         areas[0] = 1.0
@@ -258,12 +256,28 @@ def _derived_2way_state(graph, parts, movable):
 
 
 def _assert_2way_state_exact(kernel, graph, parts):
+    """The 2-way kernel invariant: ``pair[e]`` is the pin-id sum of each
+    two-pin net of positive weight and -1 for every other net; cnt/ids
+    are exact for every net with ``pair[e] < 0`` (the kernel keeps no
+    counts for the others), and gains are exact for every movable
+    vertex."""
     movable = [v for v, f in enumerate(kernel.fixture) if f == FREE]
     cnt, ids, gain = _derived_2way_state(graph, parts, movable)
-    assert list(kernel._cnt0) == cnt[0]
-    assert list(kernel._cnt1) == cnt[1]
-    assert list(kernel._ids0) == ids[0]
-    assert list(kernel._ids1) == ids[1]
+    pair = []
+    for e in range(graph.num_nets):
+        pins = graph.net_pins(e)
+        two_pin = len(pins) == 2 and graph.net_weights[e] > 0
+        pair.append(sum(pins) if two_pin else -1)
+    assert kernel._pair == pair
+    counted = [e for e in range(graph.num_nets) if pair[e] < 0]
+    for buf, want in (
+        (kernel._cnt0, cnt[0]),
+        (kernel._cnt1, cnt[1]),
+        (kernel._ids0, ids[0]),
+        (kernel._ids1, ids[1]),
+    ):
+        assert len(buf) == graph.num_nets
+        assert [buf[e] for e in counted] == [want[e] for e in counted]
     assert {v: kernel._gain[v] for v in movable} == gain
 
 
@@ -438,3 +452,203 @@ def test_engine_binding_copies_no_csr(engine):
     else:
         bound = KWayFMRefiner(graph, relative_balance(40.0, 3, 0.2))
     assert bound._eweight is net_weights and bound._areas is areas
+
+
+# ---------------------------------------------------------------------------
+# The kernel's fast paths: two-pin nets as graph edges and the selection's
+# area prefilter.  Each case runs kernel and reference with ``record_moves``
+# under all three policies and checks the kernel's state afterwards.
+
+POLICIES = ("lifo", "fifo", "clip")
+
+DECIMAL_AREAS = (0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1.5)
+"""Areas whose float sums round, so loads and window bounds meet only
+up to rounding."""
+
+
+def _assert_kernel_matches_reference(
+    graph, balance, fixture, policy, parts, cutoff=1.0
+):
+    config = FMConfig(
+        policy=policy, pass_move_limit_fraction=cutoff, record_moves=True
+    )
+    kernel = FMBipartitioner(graph, balance, fixture=fixture, config=config)
+    result = kernel.run(list(parts))
+    reference = ReferenceFMBipartitioner(
+        graph, balance, fixture=fixture, config=config
+    )
+    assert _fm_fingerprint(reference.run(list(parts))) == _fm_fingerprint(
+        result
+    )
+    _assert_2way_state_exact(kernel, graph, result.solution.parts)
+    return result
+
+
+def _forced_parts_and_loads(graph, fixture, parts):
+    """``parts`` with fixed vertices on their sides, and its side loads
+    summed in vertex order, as the engines sum them."""
+    forced = [p if f == FREE else f for p, f in zip(parts, fixture)]
+    loads = [0.0, 0.0]
+    for v, p in enumerate(forced):
+        loads[p] += graph.area(v)
+    return forced, loads
+
+
+@st.composite
+def two_pin_instances(draw):
+    """Graphs made only of two-pin nets: parallel nets allowed, zero
+    weights included."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    num_nets = draw(st.integers(min_value=1, max_value=30))
+    nets = [
+        draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            )
+        )
+        for _ in range(num_nets)
+    ]
+    weights = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=4),
+            min_size=num_nets,
+            max_size=num_nets,
+        )
+    )
+    areas = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n
+        )
+    )
+    if sum(areas) == 0:
+        areas[0] = 1.0
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    graph = Hypergraph(nets, num_vertices=n, areas=areas, net_weights=weights)
+    return graph, seed
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("fraction", FIXED_FRACTIONS)
+@given(instance=two_pin_instances())
+@settings(max_examples=25, deadline=None)
+def test_fm_kernel_matches_reference_on_two_pin_graphs(
+    policy, fraction, instance
+):
+    """On graphs of two-pin nets only, every net of positive weight takes
+    the kernel's graph-edge path; fixed endpoints (at the larger fixed
+    fractions) and zero-weight nets (which take the counted path) are
+    included."""
+    graph, seed = instance
+    rng = random.Random(seed)
+    fixture = _random_fixture(graph, fraction, 2, rng)
+    balance = relative_bipartition_balance(
+        graph.total_area, rng.choice([0.1, 0.3, 0.8])
+    )
+    parts = [rng.randint(0, 1) for _ in range(graph.num_vertices)]
+    _assert_kernel_matches_reference(
+        graph, balance, fixture, policy, parts, rng.choice([1.0, 0.5])
+    )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@given(instance=kernel_instances(area_values=DECIMAL_AREAS))
+@settings(max_examples=40, deadline=None)
+def test_fm_kernel_matches_reference_with_a_cell_at_the_window_bound(
+    policy, instance
+):
+    """The window's bounds sit exactly where moving one random movable
+    cell puts its side (load minus area, and the other side's load plus
+    area, in float), so that cell lands on the area prefilter's bound."""
+    graph, seed = instance
+    rng = random.Random(seed)
+    fixture = _random_fixture(graph, 0.2, 2, rng)
+    parts, loads = _forced_parts_and_loads(
+        graph, fixture, [rng.randint(0, 1) for _ in range(graph.num_vertices)]
+    )
+    v = rng.choice([u for u, f in enumerate(fixture) if f == FREE])
+    s, a = parts[v], graph.area(v)
+    min_loads = [0.0, 0.0]
+    max_loads = [0.0, 0.0]
+    min_loads[s] = loads[s] - a
+    max_loads[s] = loads[s] + rng.choice([0.0, a])
+    min_loads[1 - s] = rng.choice([0.0, loads[1 - s]])
+    max_loads[1 - s] = loads[1 - s] + a
+    balance = BalanceConstraint(min_loads=min_loads, max_loads=max_loads)
+    _assert_kernel_matches_reference(graph, balance, fixture, policy, parts)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_area_prefilter_admits_a_cell_landing_exactly_on_the_min_load(
+    policy,
+):
+    """Moving vertex 0 or 1 (area 0.1) leaves side 0 exactly at its min
+    load, but in float ``load - min_load`` rounds below 0.1: the
+    prefilter's margin must keep that move admissible."""
+    graph = Hypergraph(
+        [[0, 3], [1, 3], [2, 3]],
+        num_vertices=4,
+        areas=[0.1, 0.1, 0.2, 1.0],
+    )
+    fixture = [FREE, FREE, FREE, 1]
+    parts, loads = _forced_parts_and_loads(graph, fixture, [0, 0, 0, 1])
+    min_load = loads[0] - 0.1
+    assert loads[0] - min_load < 0.1
+    balance = BalanceConstraint(
+        min_loads=(min_load, 0.0), max_loads=(1.0, 2.0)
+    )
+    result = _assert_kernel_matches_reference(
+        graph, balance, fixture, policy, parts
+    )
+    assert result.move_logs[0][0] in (0, 1)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("fraction", FIXED_FRACTIONS)
+@given(instance=kernel_instances(area_values=DECIMAL_AREAS))
+@settings(max_examples=25, deadline=None)
+def test_fm_kernel_matches_reference_in_windows_narrower_than_a_cell(
+    policy, fraction, instance
+):
+    """Windows narrower than the smallest movable area: every move
+    violates them, so selection relies on the escape hatch."""
+    graph, seed = instance
+    rng = random.Random(seed)
+    fixture = _random_fixture(graph, fraction, 2, rng)
+    quantum = min(
+        (graph.area(v) for v, f in enumerate(fixture)
+         if f == FREE and graph.area(v) > 0),
+        default=0.0,
+    )
+    half = graph.total_area / 2.0
+    width = quantum * rng.choice([0.0, 0.25, 0.9])
+    balance = BalanceConstraint(
+        min_loads=(half - width / 2.0,) * 2,
+        max_loads=(half + width / 2.0,) * 2,
+    )
+    parts = [rng.randint(0, 1) for _ in range(graph.num_vertices)]
+    _assert_kernel_matches_reference(graph, balance, fixture, policy, parts)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("fraction", FIXED_FRACTIONS)
+@given(instance=kernel_instances(area_values=DECIMAL_AREAS))
+@settings(max_examples=25, deadline=None)
+def test_fm_kernel_matches_reference_from_infeasible_starts(
+    policy, fraction, instance
+):
+    """Starts with every movable vertex on one side violate the window,
+    so selection begins with a positive violation to reduce."""
+    graph, seed = instance
+    rng = random.Random(seed)
+    fixture = _random_fixture(graph, fraction, 2, rng)
+    balance = relative_bipartition_balance(
+        graph.total_area, rng.choice([0.02, 0.1, 0.3])
+    )
+    parts, loads = _forced_parts_and_loads(
+        graph, fixture, [rng.randint(0, 1)] * graph.num_vertices
+    )
+    assume(not balance.is_feasible(loads))
+    _assert_kernel_matches_reference(graph, balance, fixture, policy, parts)
